@@ -11,13 +11,9 @@
 
 #include "apps/minilibc.hpp"
 #include "base/thread_pool.hpp"
-#include "core/lazypoline.hpp"
-#include "isa/assemble.hpp"
 #include "kernel/machine.hpp"
-#include "kernel/syscalls.hpp"
-#include "mechanisms/sud_tool.hpp"
 #include "metrics/json.hpp"
-#include "zpoline/zpoline.hpp"
+#include "scenario/scenario.hpp"
 
 namespace lzp::bench {
 
@@ -83,35 +79,14 @@ inline void write_json_report(const std::string& path,
   std::printf("json -> %s\n", path.c_str());
 }
 
-// The §V-B microbenchmark program: N invocations of the non-existent
-// syscall 500 in a tight loop.
-inline isa::Program make_micro_loop(std::uint64_t iterations,
-                                    std::uint64_t nr = kern::kSysNonexistent) {
-  isa::Assembler a;
-  const auto entry = a.new_label();
-  const auto loop = a.new_label();
-  const auto done = a.new_label();
-  a.bind(entry);
-  a.mov(isa::Gpr::rbx, iterations);
-  a.bind(loop);
-  a.cmp(isa::Gpr::rbx, 0);
-  a.jz(done);
-  a.mov(isa::Gpr::rax, nr);
-  a.syscall_();
-  a.sub(isa::Gpr::rbx, 1);
-  a.jmp(loop);
-  a.bind(done);
-  apps::emit_exit(a, 0);
-  return unwrap(isa::make_program("micro-loop", a, entry), "assemble micro loop");
-}
-
-// Runs `program` on a fresh machine after `setup`, returning the main task's
-// cycle count. Dies if the machine does not quiesce.
-inline std::uint64_t run_cycles(
-    const isa::Program& program,
-    const std::function<void(kern::Machine&, kern::Tid)>& setup = nullptr,
-    kern::CostModel costs = {}) {
-  kern::Machine machine(costs);
+// Runs `program` on a fresh machine after `setup` (which installs whatever
+// mechanism the caller needs), returning the main task's cycle count. Dies if
+// the machine does not quiesce. For the programs a Scenario does not
+// describe; the loop and the webserver go through run_scenario below.
+using Setup = std::function<void(kern::Machine&, kern::Tid)>;
+inline std::uint64_t run_cycles(const isa::Program& program,
+                                const Setup& setup) {
+  kern::Machine machine;
   machine.mmap_min_addr = 0;
   machine.register_program(program);
   const kern::Tid tid = unwrap(machine.load(program), "load");
@@ -121,55 +96,37 @@ inline std::uint64_t run_cycles(
   return machine.find_task(tid)->cycles;
 }
 
-// Mechanism setups used across benches. Each returns a setup callback.
-using Setup = std::function<void(kern::Machine&, kern::Tid)>;
-
-inline Setup setup_none() { return nullptr; }
-
-inline Setup setup_sud_always_allow() {
-  return [](kern::Machine& machine, kern::Tid tid) {
-    check(mechanisms::SudMechanism::install_always_allow(machine, tid),
-          "sud allow");
-  };
+// Builds `scenario` on `machine`, runs it, and dies (naming the scenario)
+// unless it finished cleanly. Observers (Tracer, Profiler, Recorder) attach
+// to `machine` before the call.
+inline scenario::Outcome run_scenario(
+    const scenario::Scenario& scenario, kern::Machine& machine,
+    std::shared_ptr<interpose::SyscallHandler> handler =
+        std::make_shared<interpose::DummyHandler>()) {
+  const scenario::Instance instance =
+      unwrap(scenario::build(scenario, machine, std::move(handler)), "build");
+  return unwrap(scenario::run(scenario, machine, instance), "run");
 }
 
-inline Setup setup_sud(std::shared_ptr<interpose::SyscallHandler> handler) {
-  return [handler](kern::Machine& machine, kern::Tid tid) {
-    mechanisms::SudMechanism mechanism;
-    check(mechanism.install(machine, tid, handler), "sud install");
-  };
+// The same on a fresh machine with cost model `costs`.
+inline scenario::Outcome run_scenario(
+    const scenario::Scenario& scenario,
+    std::shared_ptr<interpose::SyscallHandler> handler =
+        std::make_shared<interpose::DummyHandler>(),
+    kern::CostModel costs = {}) {
+  kern::Machine machine(costs);
+  return run_scenario(scenario, machine, std::move(handler));
 }
 
-inline Setup setup_zpoline(const isa::Program& program,
-                           std::shared_ptr<interpose::SyscallHandler> handler) {
-  return [&program, handler](kern::Machine& machine, kern::Tid tid) {
-    machine.register_program(program);
-    zpoline::ZpolineMechanism mechanism;
-    check(mechanism.install(machine, tid, handler), "zpoline install");
-  };
-}
-
-// Steady-state lazypoline: sites pre-rewritten (§V-B methodology), SUD
-// optionally disabled (Figure 4's "without SUD" config).
-inline Setup setup_lazypoline(const isa::Program& program,
-                              std::shared_ptr<interpose::SyscallHandler> handler,
-                              core::XstateMode xstate, bool sud,
-                              bool prerewrite = true) {
-  return [&program, handler, xstate, sud, prerewrite](kern::Machine& machine,
-                                                      kern::Tid tid) {
-    machine.register_program(program);
-    core::LazypolineConfig config;
-    config.xstate = xstate;
-    config.use_sud = sud;
-    auto runtime = core::Lazypoline::create(machine, config);
-    check(runtime->install(machine, tid, handler), "lazypoline install");
-    if (prerewrite) {
-      for (std::uint64_t site : program.true_syscall_addresses()) {
-        check(runtime->rewrite_site_manually(tid, site), "manual rewrite");
-      }
-    }
-    if (!sud) check(runtime->disable_sud(tid), "disable sud");
-  };
+// Steady-state lazypoline (§V-B methodology): every site rewritten up front,
+// SUD optionally disarmed (Figure 4's "without SUD" configuration).
+inline scenario::Mechanism steady_lazypoline(core::XstateMode xstate,
+                                             bool use_sud = true) {
+  scenario::Mechanism mechanism{scenario::Mechanism::Kind::kLazypoline};
+  mechanism.lazypoline.xstate = xstate;
+  mechanism.lazypoline.use_sud = use_sud;
+  mechanism.prerewrite = true;
+  return mechanism;
 }
 
 }  // namespace lzp::bench

@@ -97,120 +97,75 @@ struct RunResult {
   cpu::TraceCacheStats tcache;
 };
 
-RunResult run_config(const isa::Program& program, const EngineCfg& cfg,
-                     const bench::Setup& setup) {
+void configure(kern::Machine& machine, const EngineCfg& cfg) {
+  machine.mmap_min_addr = 0;
+  machine.block_exec_enabled = cfg.block;
+  machine.trace_exec_enabled = cfg.trace;
+}
+
+// Folds one repetition (timed at `start`..`end`) into `result`; `tid` is the
+// task whose exit code is reported.
+void record(RunResult& result, kern::Machine& machine, kern::Tid tid,
+            std::chrono::steady_clock::time_point start,
+            std::chrono::steady_clock::time_point end, int rep) {
+  const double ms =
+      std::chrono::duration<double, std::milli>(end - start).count();
+  result.wall_ms = std::min(result.wall_ms, ms);
+  if (rep > 0 && result.cycles != machine.total_cycles()) {
+    bench::die("simulated cycles varied between repetitions");
+  }
+  result.cycles = machine.total_cycles();
+  result.insns = machine.total_insns();
+  result.steps = machine.total_steps();
+  result.exit_code = machine.find_task(tid)->exit_code;
+  result.bcache = machine.block_cache_totals();
+  result.dtlb = machine.data_tlb_totals();
+  result.tcache = machine.trace_cache_totals();
+}
+
+RunResult run_program(const isa::Program& program, const EngineCfg& cfg) {
   RunResult result;
   for (int rep = 0; rep < kReps; ++rep) {
     kern::Machine machine;
-    machine.mmap_min_addr = 0;
-    machine.block_exec_enabled = cfg.block;
-    machine.trace_exec_enabled = cfg.trace;
+    configure(machine, cfg);
     machine.register_program(program);
     const kern::Tid tid = bench::unwrap(machine.load(program), "load");
-    if (setup) setup(machine, tid);
     const auto start = std::chrono::steady_clock::now();
     const auto stats = machine.run();
     const auto end = std::chrono::steady_clock::now();
     if (!stats.all_exited) {
       bench::die("machine did not quiesce: " + machine.last_fatal());
     }
-    const double ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    result.wall_ms = std::min(result.wall_ms, ms);
-    if (rep > 0 && result.cycles != machine.total_cycles()) {
-      bench::die("simulated cycles varied between repetitions");
-    }
-    result.cycles = machine.total_cycles();
-    result.insns = machine.total_insns();
-    result.steps = machine.total_steps();
-    result.exit_code = machine.find_task(tid)->exit_code;
-    result.bcache = machine.block_cache_totals();
-    result.dtlb = machine.data_tlb_totals();
-    result.tcache = machine.trace_cache_totals();
+    record(result, machine, tid, start, end, rep);
   }
   return result;
 }
 
-// The Figure-5 single-worker webserver: 36 keepalive connections, kRequests
-// requests against a static file — the syscall-intensive macro workload the
-// trace gate is measured on.
-enum class Mech { kBaseline, kSud, kZpoline, kLazypoline };
-
-void install_mech(kern::Machine& machine, kern::Tid tid, Mech mech,
-                  const std::shared_ptr<interpose::DummyHandler>& dummy) {
-  switch (mech) {
-    case Mech::kBaseline:
-      break;
-    case Mech::kSud: {
-      mechanisms::SudMechanism mechanism;
-      bench::check(mechanism.install(machine, tid, dummy), "sud");
-      break;
-    }
-    case Mech::kZpoline: {
-      zpoline::ZpolineMechanism mechanism;
-      bench::check(mechanism.install(machine, tid, dummy), "zpoline");
-      break;
-    }
-    case Mech::kLazypoline: {
-      core::LazypolineConfig config;
-      config.xstate = core::XstateMode::kFull;
-      auto runtime = core::Lazypoline::create(machine, config);
-      bench::check(runtime->install(machine, tid, dummy), "lazypoline");
-      break;
-    }
-  }
-}
-
-RunResult run_webserver(Mech mech, const EngineCfg& cfg) {
+RunResult run_scenario(const scenario::Scenario& spec, const EngineCfg& cfg,
+                       int reps) {
   RunResult result;
-  const apps::ServerProfile& profile = apps::nginx_profile();
-  for (int rep = 0; rep < kWebReps; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     kern::Machine machine;
-    machine.mmap_min_addr = 0;
-    machine.block_exec_enabled = cfg.block;
-    machine.trace_exec_enabled = cfg.trace;
-    bench::check(machine.vfs().put_file_of_size("index.html", kWebFileSize),
-                 "seed file");
-
-    kern::ClientWorkload workload;
-    workload.connections = 36;
-    workload.total_requests = kWebRequests;
-    workload.response_bytes = profile.header_bytes + kWebFileSize;
-    const int listener = machine.net().create_listener(workload);
-
-    const auto program = bench::unwrap(
-        apps::make_webserver(machine, profile, "index.html"), "build server");
-    machine.register_program(program);
-    const kern::Tid tid = bench::unwrap(machine.load(program), "load worker");
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid)->process->install_fd_at(apps::kListenerFd, entry);
-    auto dummy = std::make_shared<interpose::DummyHandler>();
-    install_mech(machine, tid, mech, dummy);
-
+    configure(machine, cfg);
+    const scenario::Instance instance = bench::unwrap(
+        scenario::build(spec, machine,
+                        std::make_shared<interpose::DummyHandler>()),
+        "build");
     const auto start = std::chrono::steady_clock::now();
-    const auto stats = machine.run(4'000'000'000ULL);
+    bench::unwrap(scenario::run(spec, machine, instance), "run");
     const auto end = std::chrono::steady_clock::now();
-    if (!stats.all_exited) bench::die("server hung: " + machine.last_fatal());
-    if (machine.net().completed_requests(listener) != kWebRequests) {
-      bench::die("dropped requests");
-    }
-    const double ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    result.wall_ms = std::min(result.wall_ms, ms);
-    if (rep > 0 && result.cycles != machine.total_cycles()) {
-      bench::die("simulated cycles varied between repetitions");
-    }
-    result.cycles = machine.total_cycles();
-    result.insns = machine.total_insns();
-    result.steps = machine.total_steps();
-    result.exit_code = machine.find_task(tid)->exit_code;
-    result.bcache = machine.block_cache_totals();
-    result.dtlb = machine.data_tlb_totals();
-    result.tcache = machine.trace_cache_totals();
+    record(result, machine, instance.workers.front(), start, end, rep);
   }
   return result;
+}
+
+// The Figure-5 single-worker webserver: 36 keepalive connections,
+// kWebRequests requests against a static file — the syscall-intensive macro
+// workload the trace gate is measured on.
+scenario::Scenario web_scenario(scenario::Mechanism::Kind kind) {
+  return {scenario::Web{apps::nginx_profile(), 1, kWebFileSize, 36,
+                        kWebRequests},
+          kind};
 }
 
 // Dies unless every configuration agrees on every simulated observable.
@@ -286,9 +241,9 @@ int main(int argc, char** argv) {
 
   // --- straight-line throughput + block gate --------------------------------
   const auto program = make_straight_line(kStraightLineIters);
-  const RunResult sl_ref = run_config(program, kReference, nullptr);
-  const RunResult sl_blk = run_config(program, kBlock, nullptr);
-  const RunResult sl_trc = run_config(program, kTrace, nullptr);
+  const RunResult sl_ref = run_program(program, kReference);
+  const RunResult sl_blk = run_program(program, kBlock);
+  const RunResult sl_trc = run_program(program, kTrace);
   require_identical("straight-line", {&sl_ref, &sl_blk, &sl_trc});
   if (sl_blk.bcache.hits == 0) {
     std::fprintf(stderr, "FAIL: engine-on run recorded no block-cache hits\n");
@@ -309,22 +264,22 @@ int main(int argc, char** argv) {
   // The interposed paths bounce through host code and signals, exercising the
   // engines' fallback edges; each must be cycle-identical across all three
   // configurations.
-  const auto micro = bench::make_micro_loop(kMicroIters);
-  auto dummy = std::make_shared<interpose::DummyHandler>();
+  using Kind = scenario::Mechanism::Kind;
   const struct {
     const char* name;
-    bench::Setup setup;
+    scenario::Mechanism mechanism;
   } mechanisms[] = {
-      {"native", bench::setup_none()},
-      {"sud", bench::setup_sud(dummy)},
-      {"zpoline", bench::setup_zpoline(micro, dummy)},
-      {"lazypoline",
-       bench::setup_lazypoline(micro, dummy, core::XstateMode::kFull, true)},
+      {"native", Kind::kNative},
+      {"sud", Kind::kSud},
+      {"zpoline", Kind::kZpoline},
+      {"lazypoline", bench::steady_lazypoline(core::XstateMode::kFull)},
   };
   for (const auto& mechanism : mechanisms) {
-    const RunResult m_ref = run_config(micro, kReference, mechanism.setup);
-    const RunResult m_blk = run_config(micro, kBlock, mechanism.setup);
-    const RunResult m_trc = run_config(micro, kTrace, mechanism.setup);
+    const scenario::Scenario micro{scenario::Loop{kMicroIters},
+                                   mechanism.mechanism};
+    const RunResult m_ref = run_scenario(micro, kReference, kReps);
+    const RunResult m_blk = run_scenario(micro, kBlock, kReps);
+    const RunResult m_trc = run_scenario(micro, kTrace, kReps);
     require_identical(mechanism.name, {&m_ref, &m_blk, &m_trc});
     add_row(table, mechanism.name, kBlock, m_blk,
             m_ref.wall_ms / m_blk.wall_ms);
@@ -342,19 +297,20 @@ int main(int argc, char** argv) {
                          "sim cycles", "insns", "chains", "fused"});
   const struct {
     const char* name;
-    Mech mech;
-  } web_mechs[] = {{"web-native", Mech::kBaseline},
-                   {"web-sud", Mech::kSud},
-                   {"web-zpoline", Mech::kZpoline},
-                   {"web-lazypoline", Mech::kLazypoline}};
+    Kind mech;
+  } web_mechs[] = {{"web-native", Kind::kNative},
+                   {"web-sud", Kind::kSud},
+                   {"web-zpoline", Kind::kZpoline},
+                   {"web-lazypoline", Kind::kLazypoline}};
   double trace_gate_min = 1e18;
   std::uint64_t sud_invalidations = 0;
   std::uint64_t zpoline_invalidations = 0;
   std::uint64_t interposed_fused = 0;
   for (const auto& wm : web_mechs) {
-    const RunResult w_ref = run_webserver(wm.mech, kReference);
-    const RunResult w_blk = run_webserver(wm.mech, kBlock);
-    const RunResult w_trc = run_webserver(wm.mech, kTrace);
+    const scenario::Scenario web = web_scenario(wm.mech);
+    const RunResult w_ref = run_scenario(web, kReference, kWebReps);
+    const RunResult w_blk = run_scenario(web, kBlock, kWebReps);
+    const RunResult w_trc = run_scenario(web, kTrace, kWebReps);
     require_identical(wm.name, {&w_ref, &w_blk, &w_trc});
     const double vs_ref = w_ref.wall_ms / w_trc.wall_ms;
     const double vs_block = w_blk.wall_ms / w_trc.wall_ms;
@@ -365,12 +321,12 @@ int main(int argc, char** argv) {
     results.push_back(result_json(wm.name, "block", w_blk,
                                   w_ref.wall_ms / w_blk.wall_ms));
     results.push_back(result_json(wm.name, "trace", w_trc, vs_ref));
-    if (wm.mech == Mech::kZpoline || wm.mech == Mech::kLazypoline) {
+    if (wm.mech == Kind::kZpoline || wm.mech == Kind::kLazypoline) {
       trace_gate_min = std::min(trace_gate_min, vs_block);
       interposed_fused += w_trc.tcache.fused_fastpaths;
     }
-    if (wm.mech == Mech::kSud) sud_invalidations = w_blk.bcache.invalidations;
-    if (wm.mech == Mech::kZpoline) {
+    if (wm.mech == Kind::kSud) sud_invalidations = w_blk.bcache.invalidations;
+    if (wm.mech == Kind::kZpoline) {
       zpoline_invalidations = w_blk.bcache.invalidations;
     }
   }

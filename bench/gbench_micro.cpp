@@ -8,9 +8,7 @@
 #include "bpf/seccomp_filter.hpp"
 #include "cpu/execute.hpp"
 #include "disasm/scanner.hpp"
-#ifndef LZP_TRACE_DISABLED
 #include "trace/tracer.hpp"
-#endif
 
 namespace {
 using namespace lzp;
@@ -212,7 +210,8 @@ void BM_XstateSaveRestore(benchmark::State& state) {
 BENCHMARK(BM_XstateSaveRestore);
 
 void BM_LinearSweepScan(benchmark::State& state) {
-  const auto program = bench::make_micro_loop(1);
+  const auto program =
+      bench::unwrap(scenario::make_loop(scenario::Loop{1}), "loop");
   for (auto _ : state) {
     auto result = disasm::scan(program.image, program.base,
                                disasm::Strategy::kLinearSweep);
@@ -223,71 +222,54 @@ BENCHMARK(BM_LinearSweepScan);
 
 // Simulated-cycle counters for the interposition paths (reported via the
 // "sim_cycles_per_syscall" counter; host time measures simulator speed).
+// `tracer`, when given, is attached to every machine before the build.
 void interposed_micro(benchmark::State& state,
-                      const std::function<bench::Setup(const isa::Program&)>&
-                          make_setup) {
-  const std::uint64_t iterations = 2'000;
-  const auto program = bench::make_micro_loop(iterations);
-  const auto setup = make_setup(program);
+                      const scenario::Mechanism& mechanism,
+                      trace::Tracer* tracer = nullptr) {
+  const scenario::Loop loop{2'000};
   std::uint64_t cycles = 0;
   for (auto _ : state) {
-    cycles = bench::run_cycles(program, setup);
+    kern::Machine machine;
+    if (tracer != nullptr) tracer->attach(machine);
+    cycles = bench::run_scenario({loop, mechanism}, machine).wall_cycles;
     benchmark::DoNotOptimize(cycles);
   }
   state.counters["sim_cycles_per_syscall"] =
-      static_cast<double>(cycles) / static_cast<double>(iterations);
+      static_cast<double>(cycles) / static_cast<double>(loop.iterations);
 }
 
 void BM_SimNativeSyscall(benchmark::State& state) {
-  interposed_micro(state, [](const isa::Program&) { return bench::setup_none(); });
+  interposed_micro(state, scenario::Mechanism::Kind::kNative);
 }
 BENCHMARK(BM_SimNativeSyscall);
 
 void BM_SimZpoline(benchmark::State& state) {
-  auto dummy = std::make_shared<interpose::DummyHandler>();
-  interposed_micro(state, [dummy](const isa::Program& program) {
-    return bench::setup_zpoline(program, dummy);
-  });
+  interposed_micro(state, scenario::Mechanism::Kind::kZpoline);
 }
 BENCHMARK(BM_SimZpoline);
 
 void BM_SimLazypoline(benchmark::State& state) {
-  auto dummy = std::make_shared<interpose::DummyHandler>();
-  interposed_micro(state, [dummy](const isa::Program& program) {
-    return bench::setup_lazypoline(program, dummy, core::XstateMode::kFull,
-                                   true);
-  });
+  interposed_micro(state, bench::steady_lazypoline(core::XstateMode::kFull));
 }
 BENCHMARK(BM_SimLazypoline);
 
 void BM_SimSud(benchmark::State& state) {
-  auto dummy = std::make_shared<interpose::DummyHandler>();
-  interposed_micro(state, [dummy](const isa::Program&) {
-    return bench::setup_sud(dummy);
-  });
+  interposed_micro(state, scenario::Mechanism::Kind::kSud);
 }
 BENCHMARK(BM_SimSud);
 
-#ifndef LZP_TRACE_DISABLED
 // Tracing overhead on the hottest interposed path: the same lazypoline micro
 // loop with a Tracer attached-but-disabled vs enabled. Compare against
 // BM_SimLazypoline (no sink at all) for the three-way off/disabled/enabled
 // split the trace-overhead gate checks.
 void lazypoline_traced(benchmark::State& state, bool enabled) {
-  auto dummy = std::make_shared<interpose::DummyHandler>();
-  auto tracer = std::make_shared<trace::Tracer>();
-  tracer->set_enabled(enabled);
-  interposed_micro(state, [dummy, tracer](const isa::Program& program) {
-    auto inner = bench::setup_lazypoline(program, dummy, core::XstateMode::kFull,
-                                         true);
-    return [inner, tracer](kern::Machine& machine, kern::Tid tid) {
-      tracer->attach(machine);
-      inner(machine, tid);
-    };
-  });
+  trace::Tracer tracer;
+  tracer.set_enabled(enabled);
+  interposed_micro(state, bench::steady_lazypoline(core::XstateMode::kFull),
+                   &tracer);
   // Cumulative across iterations (each run re-attaches the same tracer).
   state.counters["trace_events"] = static_cast<double>(
-      tracer->ring().size() + tracer->ring().dropped());
+      tracer.ring().size() + tracer.ring().dropped());
 }
 
 void BM_SimLazypolineTracedDisabled(benchmark::State& state) {
@@ -336,7 +318,6 @@ void BM_MachineStraightLineTracedDisabled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(insns));
 }
 BENCHMARK(BM_MachineStraightLineTracedDisabled);
-#endif  // LZP_TRACE_DISABLED
 
 }  // namespace
 

@@ -28,7 +28,6 @@
 #include "bench_util.hpp"
 #include "apps/webserver.hpp"
 #include "bpf/seccomp_filter.hpp"
-#include "mechanisms/ptrace_tool.hpp"
 #include "metrics/report.hpp"
 #include "policy/compile.hpp"
 #include "policy/enforce.hpp"
@@ -40,24 +39,14 @@ using namespace lzp;
 constexpr std::uint64_t kIterations = 20'000;
 constexpr int kReps = 7;
 constexpr double kLazypolineGate = 1.15;
-constexpr std::uint64_t kWebSeed = 0x1A5F'9E37ULL;
 
-const std::vector<std::string> kMechanisms = {"ptrace", "sud", "zpoline",
-                                              "lazypoline"};
-
-bench::Setup setup_for(const std::string& mechanism,
-                       const isa::Program& program,
-                       std::shared_ptr<interpose::SyscallHandler> handler) {
-  if (mechanism == "ptrace") {
-    return [handler](kern::Machine& machine, kern::Tid tid) {
-      bench::check(mechanisms::PtraceMechanism().install(machine, tid, handler),
-                   "ptrace install");
-    };
+// The micro loop runs lazypoline in its §V-B steady state (sites
+// pre-rewritten); the webserver discovers its sites live.
+scenario::Mechanism micro_mechanism(scenario::Mechanism::Kind kind) {
+  if (kind == scenario::Mechanism::Kind::kLazypoline) {
+    return bench::steady_lazypoline(core::XstateMode::kFull);
   }
-  if (mechanism == "sud") return bench::setup_sud(handler);
-  if (mechanism == "zpoline") return bench::setup_zpoline(program, handler);
-  return bench::setup_lazypoline(program, handler, core::XstateMode::kFull,
-                                 /*sud=*/true);
+  return kind;
 }
 
 struct MicroResult {
@@ -76,17 +65,16 @@ double hit_rate(const policy::EnforcerStats& stats) {
          static_cast<double>(stats.transitions_checked);
 }
 
-MicroResult run_micro(const std::string& mechanism,
-                      const isa::Program& program,
+MicroResult run_micro(scenario::Mechanism::Kind kind,
                       const policy::Automaton& automaton) {
+  const scenario::Scenario spec{scenario::Loop{kIterations},
+                                micro_mechanism(kind)};
   MicroResult out;
   for (int rep = 0; rep < kReps; ++rep) {
     // Baseline leg.
     {
-      auto dummy = std::make_shared<interpose::DummyHandler>();
       const auto start = std::chrono::steady_clock::now();
-      const std::uint64_t cycles =
-          bench::run_cycles(program, setup_for(mechanism, program, dummy));
+      const std::uint64_t cycles = bench::run_scenario(spec).wall_cycles;
       const auto end = std::chrono::steady_clock::now();
       out.wall_base_ms = std::min(
           out.wall_base_ms,
@@ -102,7 +90,7 @@ MicroResult run_micro(const std::string& mechanism,
           policy::PolicyEnforcer::create(automaton, {}), "create enforcer");
       const auto start = std::chrono::steady_clock::now();
       const std::uint64_t cycles =
-          bench::run_cycles(program, setup_for(mechanism, program, enforcer));
+          bench::run_scenario(spec, enforcer).wall_cycles;
       const auto end = std::chrono::steady_clock::now();
       out.wall_enforced_ms = std::min(
           out.wall_enforced_ms,
@@ -113,7 +101,8 @@ MicroResult run_micro(const std::string& mechanism,
       out.cycles_enforced = cycles;
       out.stats = enforcer->stats();
       if (out.stats.violations != 0) {
-        bench::die("micro loop violated its own automaton under " + mechanism);
+        bench::die("micro loop violated its own automaton under " +
+                   scenario::to_string(kind));
       }
     }
   }
@@ -122,77 +111,23 @@ MicroResult run_micro(const std::string& mechanism,
 
 // --- webserver leg -----------------------------------------------------------
 
-struct WebSetup {
-  isa::Program program;
-  std::vector<kern::Tid> tids;
-};
-
-void setup_webserver(kern::Machine& machine, WebSetup* out) {
-  machine.mmap_min_addr = 0;
-  machine.reseed_rng(kWebSeed);
-  const apps::ServerProfile profile = apps::nginx_profile();
-  constexpr std::uint64_t kFileSize = 1024;
-  bench::check(machine.vfs().put_file_of_size("index.html", kFileSize),
-               "put index.html");
-  kern::ClientWorkload client;
-  client.connections = 4;
-  client.total_requests = 60;
-  client.response_bytes = profile.header_bytes + kFileSize;
-  const int listener = machine.net().create_listener(client);
-  out->program = bench::unwrap(
-      apps::make_webserver(machine, profile, "index.html"), "make webserver");
-  machine.register_program(out->program);
-  for (int worker = 0; worker < 2; ++worker) {
-    const kern::Tid tid =
-        bench::unwrap(machine.load(out->program), "load worker");
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid)->process->install_fd_at(apps::kListenerFd, entry);
-    out->tids.push_back(tid);
-  }
+// Two nginx workers serving 60 requests of a 1 KiB file over 4 connections.
+scenario::Scenario web_scenario(scenario::Mechanism::Kind kind) {
+  return {scenario::Web{apps::nginx_profile(), 2, 1024, 4, 60}, kind};
 }
 
-policy::EnforcerStats run_web_enforced(const std::string& mechanism,
+policy::EnforcerStats run_web_enforced(scenario::Mechanism::Kind kind,
                                        const policy::Automaton& automaton) {
-  kern::Machine machine;
-  WebSetup setup;
-  setup_webserver(machine, &setup);
   auto enforcer = bench::unwrap(policy::PolicyEnforcer::create(automaton, {}),
                                 "create enforcer");
-  for (const kern::Tid tid : setup.tids) {
-    if (mechanism == "ptrace") {
-      bench::check(
-          mechanisms::PtraceMechanism().install(machine, tid, enforcer),
-          "ptrace install");
-    } else if (mechanism == "sud") {
-      bench::check(mechanisms::SudMechanism().install(machine, tid, enforcer),
-                   "sud install");
-    } else if (mechanism == "zpoline") {
-      bench::check(zpoline::ZpolineMechanism().install(machine, tid, enforcer),
-                   "zpoline install");
-    } else {
-      auto runtime = core::Lazypoline::create(machine, {});
-      bench::check(runtime->install(machine, tid, enforcer),
-                   "lazypoline install");
-    }
-  }
-  const auto stats = machine.run(400'000'000ULL);
-  if (!stats.all_exited) bench::die("webserver hung under " + mechanism);
+  bench::run_scenario(web_scenario(kind), enforcer);
   return enforcer->stats();
 }
 
 std::vector<std::pair<kern::Tid, std::uint64_t>> run_web_traced() {
-  kern::Machine machine;
-  WebSetup setup;
-  setup_webserver(machine, &setup);
   auto tracer = std::make_shared<interpose::TracingHandler>();
-  for (const kern::Tid tid : setup.tids) {
-    auto runtime = core::Lazypoline::create(machine, {});
-    bench::check(runtime->install(machine, tid, tracer), "lazypoline install");
-  }
-  const auto stats = machine.run(400'000'000ULL);
-  if (!stats.all_exited) bench::die("traced webserver hung");
+  bench::run_scenario(web_scenario(scenario::Mechanism::Kind::kLazypoline),
+                      tracer);
   std::vector<std::pair<kern::Tid, std::uint64_t>> stream;
   stream.reserve(tracer->trace().size());
   for (const interpose::TraceRecord& record : tracer->trace()) {
@@ -209,13 +144,15 @@ int main(int argc, char** argv) {
   std::vector<std::string> results;
 
   // --- 1 + 2: micro-loop overhead and hit-rate per mechanism ---------------
-  const isa::Program micro = bench::make_micro_loop(kIterations);
+  const isa::Program micro =
+      bench::unwrap(scenario::make_loop(scenario::Loop{kIterations}), "loop");
   const policy::StaticExtraction micro_ex = policy::extract_static(micro);
   double lazypoline_x = 0.0;
   metrics::Table micro_table({"mechanism", "base ms", "enforced ms",
                               "x base", "transitions", "hit-rate"});
-  for (const std::string& mechanism : kMechanisms) {
-    const MicroResult r = run_micro(mechanism, micro, micro_ex.automaton);
+  for (const scenario::Mechanism::Kind kind : scenario::kInterposers) {
+    const std::string mechanism = scenario::to_string(kind);
+    const MicroResult r = run_micro(kind, micro_ex.automaton);
     if (r.cycles_enforced != r.cycles_base) {
       std::fprintf(stderr,
                    "FAIL: enforcement perturbed simulated cycles under %s "
@@ -252,8 +189,11 @@ int main(int argc, char** argv) {
 
   // --- 3: webserver precision + zero-false-violation sweep -----------------
   kern::Machine extract_machine;
-  WebSetup web;
-  setup_webserver(extract_machine, &web);
+  const scenario::Instance web = bench::unwrap(
+      scenario::build(web_scenario(scenario::Mechanism::Kind::kNative),
+                      extract_machine,
+                      std::make_shared<interpose::DummyHandler>()),
+      "build webserver");
   const policy::StaticExtraction web_static = policy::extract_static(web.program);
   const policy::Automaton web_dynamic =
       policy::learn_from_sequence(run_web_traced(), "webserver");
@@ -262,9 +202,10 @@ int main(int argc, char** argv) {
   metrics::Table web_table({"mechanism", "transitions", "violations",
                             "hit-rate"});
   bool web_clean = true;
-  for (const std::string& mechanism : kMechanisms) {
+  for (const scenario::Mechanism::Kind kind : scenario::kInterposers) {
+    const std::string mechanism = scenario::to_string(kind);
     const policy::EnforcerStats stats =
-        run_web_enforced(mechanism, web_static.automaton);
+        run_web_enforced(kind, web_static.automaton);
     if (stats.violations != 0) web_clean = false;
     web_table.add_row({mechanism, std::to_string(stats.transitions_checked),
                        std::to_string(stats.violations),

@@ -37,6 +37,7 @@
 #include "interpose/handler.hpp"
 #include "kernel/machine.hpp"
 #include "kernel/syscalls.hpp"
+#include "scenario/scenario.hpp"
 
 using namespace lzp;
 
@@ -56,35 +57,45 @@ T unwrap(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
-// A workload is a program builder plus an optional post-load machine setup
-// (program construction is per-machine because hostcall bindings are).
+// A workload is a program builder plus an optional loader (program
+// construction is per-machine because hostcall bindings are). Without a
+// loader the program is registered and loaded as is.
 struct Workload {
   std::function<isa::Program(kern::Machine&)> build;
-  std::function<void(kern::Machine&, kern::Tid)> setup;
+  std::function<kern::Tid(kern::Machine&, isa::Program*)> load;
 };
 
+// The Figure-5 nginx server, one worker, natively: the gate installs
+// lazypoline itself so it can attach the cross-checker first.
 Workload webserver_workload() {
   Workload w;
-  w.build = [](kern::Machine& machine) {
-    machine.mmap_min_addr = 0;
-    (void)machine.vfs().put_file_of_size("index.html", kFileSize);
-    return unwrap(
-        apps::make_webserver(machine, apps::nginx_profile(), "index.html"),
-        "make webserver");
-  };
-  w.setup = [](kern::Machine& machine, kern::Tid tid) {
-    const auto profile = apps::nginx_profile();
-    kern::ClientWorkload load;
-    load.connections = 36;
-    load.total_requests = kRequests;
-    load.response_bytes = profile.header_bytes + kFileSize;
-    const int listener = machine.net().create_listener(load);
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid)->process->install_fd_at(apps::kListenerFd, entry);
+  w.load = [](kern::Machine& machine, isa::Program* program) {
+    const scenario::Scenario spec{
+        scenario::Web{apps::nginx_profile(), 1, kFileSize, 36, kRequests}};
+    scenario::Instance instance =
+        unwrap(scenario::build(spec, machine, nullptr), "build webserver");
+    *program = std::move(instance.program);
+    return instance.workers.front();
   };
   return w;
+}
+
+// Builds (or, with a loader, loads) the workload's program on `machine`;
+// returns the main task when `tid` is given.
+isa::Program load_workload(const Workload& workload, kern::Machine& machine,
+                           kern::Tid* tid) {
+  isa::Program program;
+  if (workload.load) {
+    const kern::Tid main = workload.load(machine, &program);
+    if (tid != nullptr) *tid = main;
+    return program;
+  }
+  program = workload.build(machine);
+  if (tid != nullptr) {
+    machine.register_program(program);
+    *tid = unwrap(machine.load(program), "load");
+  }
+  return program;
 }
 
 Workload getpid_loop_workload() {
@@ -206,10 +217,8 @@ struct DynamicRun {
 DynamicRun run_under_lazypoline(const Workload& workload, bool eager) {
   DynamicRun run;
   kern::Machine machine;
-  const isa::Program program = workload.build(machine);
-  machine.register_program(program);
-  const kern::Tid tid = unwrap(machine.load(program), "load");
-  if (workload.setup) workload.setup(machine, tid);
+  kern::Tid tid = 0;
+  const isa::Program program = load_workload(workload, machine, &tid);
 
   core::LazypolineConfig config;
   config.eager_verified_rewrite = eager;
@@ -326,7 +335,7 @@ int main(int argc, char** argv) {
 
   const Workload workload = make_workload(workload_name);
   kern::Machine scratch;
-  const isa::Program program = workload.build(scratch);
+  const isa::Program program = load_workload(workload, scratch, nullptr);
   const analysis::Analysis result =
       analysis::analyze(program.image, program.base, program.entry);
 

@@ -42,25 +42,20 @@
 #include "apps/minilibc.hpp"
 #include "apps/webserver.hpp"
 #include "bpf/seccomp_filter.hpp"
-#include "core/lazypoline.hpp"
 #include "isa/assemble.hpp"
 #include "kernel/machine.hpp"
 #include "kernel/syscalls.hpp"
-#include "mechanisms/ptrace_tool.hpp"
-#include "mechanisms/sud_tool.hpp"
 #include "policy/compile.hpp"
 #include "policy/enforce.hpp"
 #include "policy/extract.hpp"
-#include "zpoline/zpoline.hpp"
+#include "scenario/scenario.hpp"
+#include "workloads.hpp"
 
 using namespace lzp;
 
 namespace {
 
-constexpr std::uint64_t kSeed = 0x1A5F'9E37ULL;
 constexpr std::uint64_t kStepLimit = 400'000'000ULL;
-const std::vector<std::string> kMechanisms = {"ptrace", "sud", "zpoline",
-                                              "lazypoline"};
 
 // The value-flow / predicate / minimization knobs, threaded through every
 // mode so the gate can also exercise the degraded configurations.
@@ -80,118 +75,6 @@ std::size_t wildcard_edge_count(const policy::Automaton& automaton) {
   return n;
 }
 
-bool install(kern::Machine& machine, kern::Tid tid,
-             const std::shared_ptr<interpose::SyscallHandler>& handler,
-             const std::string& mechanism) {
-  Status status;
-  if (mechanism == "ptrace") {
-    status = mechanisms::PtraceMechanism().install(machine, tid, handler);
-  } else if (mechanism == "sud") {
-    status = mechanisms::SudMechanism().install(machine, tid, handler);
-  } else if (mechanism == "zpoline") {
-    status = zpoline::ZpolineMechanism().install(machine, tid, handler);
-  } else if (mechanism == "lazypoline") {
-    auto runtime = core::Lazypoline::create(machine, {});
-    status = runtime->install(machine, tid, handler);
-  } else {
-    std::fprintf(stderr, "unknown mechanism '%s'\n", mechanism.c_str());
-    return false;
-  }
-  if (!status.is_ok()) {
-    std::fprintf(stderr, "install %s: %s\n", mechanism.c_str(),
-                 status.to_string().c_str());
-    return false;
-  }
-  return true;
-}
-
-isa::Program make_getpid_loop() {
-  isa::Assembler a;
-  const auto entry = a.new_label();
-  const auto loop = a.new_label();
-  const auto done = a.new_label();
-  a.bind(entry);
-  a.mov(isa::Gpr::rbx, 50);
-  a.bind(loop);
-  a.cmp(isa::Gpr::rbx, 0);
-  a.jz(done);
-  a.mov(isa::Gpr::rax, kern::kSysGetpid);
-  a.syscall_();
-  a.sub(isa::Gpr::rbx, 1);
-  a.jmp(loop);
-  a.bind(done);
-  apps::emit_exit(a, 0);
-  return std::move(isa::make_program("getpid-loop", a, entry)).value();
-}
-
-// Prepares `machine` for `workload` and returns the loaded program plus the
-// tids to install a mechanism on. The caller owns the machine so it can also
-// attach tracers/sinks before running.
-struct Setup {
-  isa::Program program;
-  std::vector<kern::Tid> tids;
-};
-
-bool setup_workload(kern::Machine& machine, const std::string& workload,
-                    Setup* out) {
-  machine.mmap_min_addr = 0;
-  machine.reseed_rng(kSeed);
-  if (workload == "getpid-loop") {
-    out->program = make_getpid_loop();
-    machine.register_program(out->program);
-    auto tid = machine.load(out->program);
-    if (!tid.is_ok()) return false;
-    out->tids.push_back(tid.value());
-    return true;
-  }
-  if (workload != "webserver") {
-    std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-    return false;
-  }
-  const apps::ServerProfile profile = apps::nginx_profile();
-  constexpr std::uint64_t kFileSize = 1024;
-  if (!machine.vfs().put_file_of_size("index.html", kFileSize).is_ok()) {
-    return false;
-  }
-  kern::ClientWorkload client;
-  client.connections = 4;
-  client.total_requests = 60;
-  client.response_bytes = profile.header_bytes + kFileSize;
-  const int listener = machine.net().create_listener(client);
-
-  auto program = apps::make_webserver(machine, profile, "index.html");
-  if (!program.is_ok()) {
-    std::fprintf(stderr, "webserver: %s\n",
-                 program.status().to_string().c_str());
-    return false;
-  }
-  out->program = std::move(program).value();
-  machine.register_program(out->program);
-  for (int worker = 0; worker < 2; ++worker) {
-    auto tid = machine.load(out->program);
-    if (!tid.is_ok()) return false;
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid.value())->process->install_fd_at(apps::kListenerFd,
-                                                           entry);
-    out->tids.push_back(tid.value());
-  }
-  return true;
-}
-
-bool setup_adversarial(kern::Machine& machine, std::uint64_t seed,
-                       Setup* out) {
-  machine.mmap_min_addr = 0;
-  machine.reseed_rng(kSeed);
-  out->program = analysis::make_adversarial_program(seed);
-  machine.register_program(out->program);
-  auto tid = machine.load(out->program);
-  if (!tid.is_ok()) return false;
-  out->tids.push_back(tid.value());
-  return true;
-}
-
 // One traced (un-enforced) run: the dynamic-learning and profiling primitive.
 struct TracedRun {
   bool completed = false;
@@ -204,15 +87,15 @@ TracedRun run_traced(const std::string& workload_or_seed,
                      bool adversarial = false) {
   TracedRun out;
   kern::Machine machine;
-  Setup setup;
-  const bool ok = adversarial
-                      ? setup_adversarial(machine, adversarial_seed, &setup)
-                      : setup_workload(machine, workload_or_seed, &setup);
-  if (!ok) return out;
   auto tracer = std::make_shared<interpose::TracingHandler>();
-  for (const kern::Tid tid : setup.tids) {
-    if (!install(machine, tid, tracer, mechanism)) return out;
-  }
+  const bool ok = adversarial
+                      ? examples::load_program(
+                            machine,
+                            analysis::make_adversarial_program(adversarial_seed),
+                            mechanism, tracer)
+                      : examples::load_workload(machine, workload_or_seed,
+                                                mechanism, tracer);
+  if (!ok) return out;
   const auto stats = machine.run(kStepLimit);
   out.completed = stats.all_exited;
   out.stream.reserve(tracer->trace().size());
@@ -234,21 +117,21 @@ EnforcedRun run_enforced(const std::string& workload,
                          std::uint64_t adversarial_seed = 0,
                          bool adversarial = false) {
   EnforcedRun out;
-  kern::Machine machine;
-  Setup setup;
-  const bool ok = adversarial
-                      ? setup_adversarial(machine, adversarial_seed, &setup)
-                      : setup_workload(machine, workload, &setup);
-  if (!ok) return out;
   auto enforcer = policy::PolicyEnforcer::create(automaton, options);
   if (!enforcer.is_ok()) {
     std::fprintf(stderr, "enforcer: %s\n",
                  enforcer.status().to_string().c_str());
     return out;
   }
-  for (const kern::Tid tid : setup.tids) {
-    if (!install(machine, tid, enforcer.value(), mechanism)) return out;
-  }
+  kern::Machine machine;
+  const bool ok = adversarial
+                      ? examples::load_program(
+                            machine,
+                            analysis::make_adversarial_program(adversarial_seed),
+                            mechanism, enforcer.value())
+                      : examples::load_workload(machine, workload, mechanism,
+                                                enforcer.value());
+  if (!ok) return out;
   const auto stats = machine.run(kStepLimit);
   out.completed = stats.all_exited;
   out.stats = enforcer.value()->stats();
@@ -272,9 +155,12 @@ bool extract_both(const std::string& workload, const PipelineOptions& opts,
                   Extracted* out) {
   {
     kern::Machine machine;
-    Setup setup;
-    if (!setup_workload(machine, workload, &setup)) return false;
-    out->static_ex = policy::extract_static(setup.program, opts.extract);
+    isa::Program program;
+    if (!examples::load_workload(machine, workload, "native", nullptr,
+                                 &program)) {
+      return false;
+    }
+    out->static_ex = policy::extract_static(program, opts.extract);
   }
   TracedRun traced = run_traced(workload, "lazypoline");
   if (!traced.completed) {
@@ -514,7 +400,8 @@ int cmd_gate(bool json, const PipelineOptions& opts) {
   //    policy, so a false argument constraint or an over-merged state would
   //    surface right here as a violation.
   std::map<std::string, policy::EnforcerStats> self_stats;
-  for (const std::string& mechanism : kMechanisms) {
+  for (const auto kind : scenario::kInterposers) {
+    const std::string mechanism = scenario::to_string(kind);
     const EnforcedRun run =
         run_enforced("webserver", mechanism, enforced, enforcer_opts);
     self_stats[mechanism] = run.stats;
@@ -536,13 +423,14 @@ int cmd_gate(bool json, const PipelineOptions& opts) {
   for (std::uint64_t seed = 1; seed <= 64 && corpus.size() < 8; ++seed) {
     TracedRun reference;
     bool qualified = true;
-    for (const std::string& mechanism : kMechanisms) {
-      TracedRun traced = run_traced("", mechanism, seed, /*adversarial=*/true);
+    for (const auto kind : scenario::kInterposers) {
+      TracedRun traced = run_traced("", scenario::to_string(kind), seed,
+                                    /*adversarial=*/true);
       if (!traced.completed) {
         qualified = false;
         break;
       }
-      if (mechanism == kMechanisms.front()) {
+      if (kind == scenario::kInterposers[0]) {
         reference = std::move(traced);
       } else if (traced.stream != reference.stream) {
         qualified = false;
@@ -568,7 +456,8 @@ int cmd_gate(bool json, const PipelineOptions& opts) {
     std::uint64_t reference_violations = 0;
     bool first = true;
     bool seed_ok = true;
-    for (const std::string& mechanism : kMechanisms) {
+    for (const auto kind : scenario::kInterposers) {
+      const std::string mechanism = scenario::to_string(kind);
       const EnforcedRun run = run_enforced("", mechanism, enforced,
                                            enforcer_opts, seed,
                                            /*adversarial=*/true);

@@ -26,114 +26,14 @@
 #include <string>
 #include <vector>
 
-#include "apps/minilibc.hpp"
 #include "apps/webserver.hpp"
-#include "core/lazypoline.hpp"
-#include "isa/assemble.hpp"
 #include "kernel/machine.hpp"
-#include "kernel/syscalls.hpp"
-#include "mechanisms/ptrace_tool.hpp"
-#include "mechanisms/sud_tool.hpp"
 #include "profile/profiler.hpp"
-#include "zpoline/zpoline.hpp"
+#include "workloads.hpp"
 
 using namespace lzp;
 
 namespace {
-
-constexpr std::uint64_t kSeed = 0x1A5F'9E37ULL;
-
-bool install(kern::Machine& machine, kern::Tid tid,
-             const std::shared_ptr<interpose::SyscallHandler>& handler,
-             const std::string& mechanism) {
-  Status status;
-  if (mechanism == "ptrace") {
-    status = mechanisms::PtraceMechanism().install(machine, tid, handler);
-  } else if (mechanism == "sud") {
-    status = mechanisms::SudMechanism().install(machine, tid, handler);
-  } else if (mechanism == "zpoline") {
-    status = zpoline::ZpolineMechanism().install(machine, tid, handler);
-  } else if (mechanism == "lazypoline") {
-    auto runtime = core::Lazypoline::create(machine, {});
-    status = runtime->install(machine, tid, handler);
-  } else {
-    std::fprintf(stderr, "unknown mechanism '%s'\n", mechanism.c_str());
-    return false;
-  }
-  if (!status.is_ok()) {
-    std::fprintf(stderr, "install %s: %s\n", mechanism.c_str(),
-                 status.to_string().c_str());
-    return false;
-  }
-  return true;
-}
-
-isa::Program make_getpid_loop() {
-  isa::Assembler a;
-  const auto entry = a.new_label();
-  const auto loop = a.new_label();
-  const auto done = a.new_label();
-  a.bind(entry);
-  a.mov(isa::Gpr::rbx, 50);
-  a.bind(loop);
-  a.cmp(isa::Gpr::rbx, 0);
-  a.jz(done);
-  a.mov(isa::Gpr::rax, kern::kSysGetpid);
-  a.syscall_();
-  a.sub(isa::Gpr::rbx, 1);
-  a.jmp(loop);
-  a.bind(done);
-  apps::emit_exit(a, 0);
-  return std::move(isa::make_program("getpid-loop", a, entry)).value();
-}
-
-bool setup_workload(kern::Machine& machine, const std::string& workload,
-                    isa::Program* program, std::vector<kern::Tid>* tids) {
-  machine.mmap_min_addr = 0;
-  machine.reseed_rng(kSeed);
-  if (workload == "getpid-loop") {
-    *program = make_getpid_loop();
-    machine.register_program(*program);
-    auto tid = machine.load(*program);
-    if (!tid.is_ok()) return false;
-    tids->push_back(tid.value());
-    return true;
-  }
-  if (workload != "webserver") {
-    std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-    return false;
-  }
-
-  const apps::ServerProfile profile = apps::nginx_profile();
-  constexpr std::uint64_t kFileSize = 1024;
-  if (!machine.vfs().put_file_of_size("index.html", kFileSize).is_ok()) {
-    return false;
-  }
-  kern::ClientWorkload client;
-  client.connections = 4;
-  client.total_requests = 60;
-  client.response_bytes = profile.header_bytes + kFileSize;
-  const int listener = machine.net().create_listener(client);
-
-  auto built = apps::make_webserver(machine, profile, "index.html");
-  if (!built.is_ok()) {
-    std::fprintf(stderr, "webserver: %s\n", built.status().to_string().c_str());
-    return false;
-  }
-  *program = std::move(built).value();
-  machine.register_program(*program);
-  for (int worker = 0; worker < 2; ++worker) {
-    auto tid = machine.load(*program);
-    if (!tid.is_ok()) return false;
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid.value())->process->install_fd_at(apps::kListenerFd,
-                                                           entry);
-    tids->push_back(tid.value());
-  }
-  return true;
-}
 
 struct ProfiledRun {
   bool ok = false;
@@ -155,16 +55,14 @@ ProfiledRun run_profiled(const std::string& mechanism,
   profiler.attach(machine);
 
   isa::Program program;
-  std::vector<kern::Tid> tids;
   ProfiledRun out;
-  if (!setup_workload(machine, workload, &program, &tids)) return out;
+  if (!examples::load_workload(machine, workload, mechanism,
+                               std::make_shared<interpose::DummyHandler>(),
+                               &program)) {
+    return out;
+  }
   profiler.register_symbol(program.base, program.image.size(),
                            program.name + ":code");
-
-  auto handler = std::make_shared<interpose::DummyHandler>();
-  for (const kern::Tid tid : tids) {
-    if (!install(machine, tid, handler, mechanism)) return out;
-  }
 
   const auto stats = machine.run(400'000'000ULL);
   if (!stats.all_exited) {

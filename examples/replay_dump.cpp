@@ -23,124 +23,23 @@
 #include <string>
 #include <vector>
 
-#include "apps/minilibc.hpp"
-#include "apps/webserver.hpp"
-#include "core/lazypoline.hpp"
-#include "isa/assemble.hpp"
 #include "kernel/machine.hpp"
-#include "kernel/syscalls.hpp"
-#include "mechanisms/ptrace_tool.hpp"
-#include "mechanisms/sud_tool.hpp"
 #include "replay/recorder.hpp"
 #include "replay/replayer.hpp"
-#include "zpoline/zpoline.hpp"
+#include "workloads.hpp"
 
 using namespace lzp;
 
 namespace {
 
-constexpr std::uint64_t kSeed = 0x1A5F'9E37ULL;
-
-bool install(kern::Machine& machine, kern::Tid tid,
-             const std::shared_ptr<interpose::SyscallHandler>& handler,
-             const std::string& mechanism) {
-  Status status;
-  if (mechanism == "ptrace") {
-    status = mechanisms::PtraceMechanism().install(machine, tid, handler);
-  } else if (mechanism == "sud") {
-    status = mechanisms::SudMechanism().install(machine, tid, handler);
-  } else if (mechanism == "zpoline") {
-    status = zpoline::ZpolineMechanism().install(machine, tid, handler);
-  } else if (mechanism == "lazypoline") {
-    auto runtime = core::Lazypoline::create(machine, {});
-    status = runtime->install(machine, tid, handler);
-  } else {
-    std::fprintf(stderr, "unknown mechanism '%s'\n", mechanism.c_str());
-    return false;
-  }
-  if (!status.is_ok()) {
-    std::fprintf(stderr, "install %s: %s\n", mechanism.c_str(),
-                 status.to_string().c_str());
-    return false;
-  }
-  return true;
-}
-
-isa::Program make_getpid_loop() {
-  isa::Assembler a;
-  const auto entry = a.new_label();
-  const auto loop = a.new_label();
-  const auto done = a.new_label();
-  a.bind(entry);
-  a.mov(isa::Gpr::rbx, 50);
-  a.bind(loop);
-  a.cmp(isa::Gpr::rbx, 0);
-  a.jz(done);
-  a.mov(isa::Gpr::rax, kern::kSysGetpid);
-  a.syscall_();
-  a.sub(isa::Gpr::rbx, 1);
-  a.jmp(loop);
-  a.bind(done);
-  apps::emit_exit(a, 0);
-  return std::move(isa::make_program("getpid-loop", a, entry)).value();
-}
-
-// Builds the recorded workload on `machine`. `live_client` drives real
-// traffic at record time; at replay the trace supplies every payload.
-bool setup_workload(kern::Machine& machine, const std::string& workload,
-                    const std::string& mechanism,
-                    const std::shared_ptr<interpose::SyscallHandler>& handler,
-                    bool live_client) {
-  machine.mmap_min_addr = 0;
-  if (workload == "getpid-loop") {
-    const auto program = make_getpid_loop();
-    machine.register_program(program);
-    auto tid = machine.load(program);
-    if (!tid.is_ok()) return false;
-    return install(machine, tid.value(), handler, mechanism);
-  }
-  if (workload != "webserver") {
-    std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-    return false;
-  }
-
-  const apps::ServerProfile profile = apps::nginx_profile();
-  constexpr std::uint64_t kFileSize = 1024;
-  if (!machine.vfs().put_file_of_size("index.html", kFileSize).is_ok()) {
-    return false;
-  }
-  kern::ClientWorkload client;
-  client.connections = 4;
-  client.total_requests = live_client ? 60 : 0;
-  client.response_bytes = profile.header_bytes + kFileSize;
-  const int listener = machine.net().create_listener(client);
-
-  auto program = apps::make_webserver(machine, profile, "index.html");
-  if (!program.is_ok()) {
-    std::fprintf(stderr, "webserver: %s\n", program.status().to_string().c_str());
-    return false;
-  }
-  machine.register_program(program.value());
-  for (int worker = 0; worker < 2; ++worker) {
-    auto tid = machine.load(program.value());
-    if (!tid.is_ok()) return false;
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid.value())->process->install_fd_at(apps::kListenerFd,
-                                                           entry);
-    if (!install(machine, tid.value(), handler, mechanism)) return false;
-  }
-  return true;
-}
-
 int record(const std::string& path, const std::string& mechanism,
            const std::string& workload) {
   auto recorder = std::make_shared<replay::Recorder>();
   kern::Machine machine;
-  recorder->attach(machine, kSeed, mechanism, workload);
-  if (!setup_workload(machine, workload, mechanism, recorder,
-                      /*live_client=*/true)) {
+  // The webserver scenario reseeds the machine with its default seed.
+  recorder->attach(machine, kern::Machine::kDefaultRngSeed, mechanism,
+                   workload);
+  if (!examples::load_workload(machine, workload, mechanism, recorder)) {
     return 1;
   }
   const auto stats = machine.run(400'000'000ULL);
@@ -202,8 +101,8 @@ int replay_trace(const std::string& path) {
       std::make_shared<replay::Replayer>(std::move(trace).value());
   kern::Machine machine;
   replayer->attach(machine);
-  if (!setup_workload(machine, workload, mechanism, replayer,
-                      /*live_client=*/false)) {
+  if (!examples::load_workload(machine, workload, mechanism, replayer,
+                               nullptr, /*live_client=*/false)) {
     return 1;
   }
   const auto stats = machine.run(400'000'000ULL);

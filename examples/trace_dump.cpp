@@ -22,128 +22,15 @@
 #include <string>
 #include <vector>
 
-#include "apps/minilibc.hpp"
-#include "apps/webserver.hpp"
-#include "core/lazypoline.hpp"
-#include "isa/assemble.hpp"
 #include "kernel/machine.hpp"
-#include "kernel/syscalls.hpp"
-#include "mechanisms/ptrace_tool.hpp"
-#include "mechanisms/sud_tool.hpp"
 #include "policy/enforce.hpp"
 #include "policy/extract.hpp"
 #include "policy/from_flight_recorder.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
-#include "zpoline/zpoline.hpp"
+#include "workloads.hpp"
 
 using namespace lzp;
-
-namespace {
-
-constexpr std::uint64_t kSeed = 0x1A5F'9E37ULL;
-
-bool install(kern::Machine& machine, kern::Tid tid,
-             const std::shared_ptr<interpose::SyscallHandler>& handler,
-             const std::string& mechanism) {
-  Status status;
-  if (mechanism == "ptrace") {
-    status = mechanisms::PtraceMechanism().install(machine, tid, handler);
-  } else if (mechanism == "sud") {
-    status = mechanisms::SudMechanism().install(machine, tid, handler);
-  } else if (mechanism == "zpoline") {
-    status = zpoline::ZpolineMechanism().install(machine, tid, handler);
-  } else if (mechanism == "lazypoline") {
-    auto runtime = core::Lazypoline::create(machine, {});
-    status = runtime->install(machine, tid, handler);
-  } else {
-    std::fprintf(stderr, "unknown mechanism '%s'\n", mechanism.c_str());
-    return false;
-  }
-  if (!status.is_ok()) {
-    std::fprintf(stderr, "install %s: %s\n", mechanism.c_str(),
-                 status.to_string().c_str());
-    return false;
-  }
-  return true;
-}
-
-isa::Program make_getpid_loop() {
-  isa::Assembler a;
-  const auto entry = a.new_label();
-  const auto loop = a.new_label();
-  const auto done = a.new_label();
-  a.bind(entry);
-  a.mov(isa::Gpr::rbx, 50);
-  a.bind(loop);
-  a.cmp(isa::Gpr::rbx, 0);
-  a.jz(done);
-  a.mov(isa::Gpr::rax, kern::kSysGetpid);
-  a.syscall_();
-  a.sub(isa::Gpr::rbx, 1);
-  a.jmp(loop);
-  a.bind(done);
-  apps::emit_exit(a, 0);
-  return std::move(isa::make_program("getpid-loop", a, entry)).value();
-}
-
-// Prepares the machine and loads the workload; installation happens in main
-// so the handler can be wrapped (e.g. in a PolicyEnforcer) once the loaded
-// program — the automaton-extraction input — is known.
-struct Setup {
-  isa::Program program;
-  std::vector<kern::Tid> tids;
-};
-
-bool setup_workload(kern::Machine& machine, const std::string& workload,
-                    Setup* out) {
-  machine.mmap_min_addr = 0;
-  machine.reseed_rng(kSeed);
-  if (workload == "getpid-loop") {
-    out->program = make_getpid_loop();
-    machine.register_program(out->program);
-    auto tid = machine.load(out->program);
-    if (!tid.is_ok()) return false;
-    out->tids.push_back(tid.value());
-    return true;
-  }
-  if (workload != "webserver") {
-    std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-    return false;
-  }
-
-  const apps::ServerProfile profile = apps::nginx_profile();
-  constexpr std::uint64_t kFileSize = 1024;
-  if (!machine.vfs().put_file_of_size("index.html", kFileSize).is_ok()) {
-    return false;
-  }
-  kern::ClientWorkload client;
-  client.connections = 4;
-  client.total_requests = 60;
-  client.response_bytes = profile.header_bytes + kFileSize;
-  const int listener = machine.net().create_listener(client);
-
-  auto program = apps::make_webserver(machine, profile, "index.html");
-  if (!program.is_ok()) {
-    std::fprintf(stderr, "webserver: %s\n", program.status().to_string().c_str());
-    return false;
-  }
-  out->program = std::move(program).value();
-  machine.register_program(out->program);
-  for (int worker = 0; worker < 2; ++worker) {
-    auto tid = machine.load(out->program);
-    if (!tid.is_ok()) return false;
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid.value())->process->install_fd_at(apps::kListenerFd,
-                                                           entry);
-    out->tids.push_back(tid.value());
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> positional;
@@ -165,15 +52,20 @@ int main(int argc, char** argv) {
   // rewrites) lands in the trace too.
   tracer.attach(machine);
 
-  Setup setup;
-  if (!setup_workload(machine, workload, &setup)) return 1;
-
   std::shared_ptr<interpose::SyscallHandler> handler =
       std::make_shared<interpose::DummyHandler>();
   policy::StaticExtraction extraction;
   std::shared_ptr<policy::PolicyEnforcer> enforcer;
   if (policy_mode) {
-    extraction = policy::extract_static(setup.program);
+    // The enforcer wraps the handler before the traced machine loads the
+    // workload, so extract from the same program built on a scratch machine.
+    kern::Machine scratch;
+    isa::Program program;
+    if (!examples::load_workload(scratch, workload, "native", nullptr,
+                                 &program)) {
+      return 1;
+    }
+    extraction = policy::extract_static(program);
     auto created =
         policy::PolicyEnforcer::create(extraction.automaton, {}, handler);
     if (!created.is_ok()) {
@@ -184,9 +76,7 @@ int main(int argc, char** argv) {
     enforcer = created.value();
     handler = enforcer;
   }
-  for (const kern::Tid tid : setup.tids) {
-    if (!install(machine, tid, handler, mechanism)) return 1;
-  }
+  if (!examples::load_workload(machine, workload, mechanism, handler)) return 1;
 
   const auto stats = machine.run(400'000'000ULL);
   if (!stats.all_exited) {

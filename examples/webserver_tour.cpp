@@ -6,9 +6,8 @@
 // Build & run:  cmake --build build && ./build/examples/webserver_tour
 #include <cstdio>
 
-#include "apps/webserver.hpp"
-#include "core/lazypoline.hpp"
 #include "kernel/machine.hpp"
+#include "scenario/scenario.hpp"
 
 using namespace lzp;
 
@@ -23,43 +22,26 @@ struct RunOutcome {
 
 RunOutcome serve(bool interposed, std::uint64_t file_size,
                  std::uint64_t requests) {
+  const scenario::Scenario spec{
+      scenario::Web{apps::nginx_profile(), 1, file_size, 36, requests},
+      interposed ? scenario::Mechanism::Kind::kLazypoline
+                 : scenario::Mechanism::Kind::kNative};
   kern::Machine machine;
-  machine.mmap_min_addr = 0;
-  (void)machine.vfs().put_file_of_size("index.html", file_size);
-
-  const auto profile = apps::nginx_profile();
-  kern::ClientWorkload workload;
-  workload.connections = 36;
-  workload.total_requests = requests;
-  workload.response_bytes = profile.header_bytes + file_size;
-  const int listener = machine.net().create_listener(workload);
-
-  auto program = apps::make_webserver(machine, profile, "index.html").value();
-  machine.register_program(program);
-  auto tid = machine.load(program).value();
-  kern::FdEntry entry;
-  entry.kind = kern::FdEntry::Kind::kListener;
-  entry.net_id = listener;
-  machine.find_task(tid)->process->install_fd_at(apps::kListenerFd, entry);
-
-  std::shared_ptr<core::Lazypoline> runtime;
-  if (interposed) {
-    runtime = core::Lazypoline::create(machine, {});
-    (void)runtime->install(machine, tid,
-                           std::make_shared<interpose::DummyHandler>());
-  }
-
-  const auto stats = machine.run();
   RunOutcome outcome;
-  if (!stats.all_exited) {
-    std::fprintf(stderr, "server hung: %s\n", machine.last_fatal().c_str());
+  auto instance = scenario::build(spec, machine,
+                                  std::make_shared<interpose::DummyHandler>());
+  auto run = instance.is_ok()
+                 ? scenario::run(spec, machine, instance.value())
+                 : Result<scenario::Outcome>(instance.status());
+  if (!run.is_ok()) {
+    std::fprintf(stderr, "%s\n", run.status().to_string().c_str());
     return outcome;
   }
-  const kern::Task* task = machine.find_task(tid);
+  const kern::Task* task = machine.find_task(instance.value().workers.front());
   outcome.rps = static_cast<double>(requests) /
-                (static_cast<double>(task->cycles) / 2.1e9);
+                (static_cast<double>(run.value().wall_cycles) / 2.1e9);
   outcome.syscalls = task->syscalls_dispatched;
-  if (runtime) {
+  for (const auto& runtime : instance.value().runtimes) {
     outcome.slow_path = runtime->stats().slow_path_hits;
     outcome.fast_path = runtime->stats().fast_path_hits();
   }

@@ -281,12 +281,6 @@ class Machine {
   // --- trace probe (kernel/trace_sink.hpp) -------------------------------------
   // The low-level observability sink the Machine and the interposer runtimes
   // report into. One sink at a time (the sink itself may fan out); not owned.
-  // With LZP_TRACE_DISABLED the accessor is a constant nullptr and every
-  // probe call site compiles away.
-#ifdef LZP_TRACE_DISABLED
-  static constexpr TraceSink* trace_sink() noexcept { return nullptr; }
-  void set_trace_sink(TraceSink* /*sink*/) noexcept {}
-#else
   // Filters out a disabled sink here, so call sites pay one load + branch
   // instead of a virtual probe call that immediately returns.
   [[nodiscard]] TraceSink* trace_sink() const noexcept {
@@ -294,7 +288,6 @@ class Machine {
                                                               : nullptr;
   }
   void set_trace_sink(TraceSink* sink) noexcept { trace_sink_ = sink; }
-#endif
 
   // --- profiling probe (kernel/profile_sink.hpp) -------------------------------
   // The cycle-attribution sink: every charge() is mirrored to it with the
@@ -326,6 +319,8 @@ class Machine {
   // recordable input rather than ambient host state.
   Xoshiro256& rng() noexcept { return rng_; }
   void reseed_rng(std::uint64_t seed) noexcept { rng_.reseed(seed); }
+  // The seed a fresh Machine's rng starts from.
+  static constexpr std::uint64_t kDefaultRngSeed = 0x1A5F'9E37ULL;
 
   // --- ptrace (host tracer) ----------------------------------------------------
   void attach_tracer(Tid tid, TracerHooks hooks);
@@ -513,11 +508,9 @@ class Machine {
   ObserverList<SignalObserver> signal_observers_;
   ObserverList<NondetObserver> nondet_observers_;
   UserNotifHandler user_notif_;
-#ifndef LZP_TRACE_DISABLED
   TraceSink* trace_sink_ = nullptr;
   // Last tid handed a slice by run(), for task-switch trace events.
   Tid last_sliced_tid_ = 0;
-#endif
   // Cycle-attribution sink (see profile_sink() above). Written only while no
   // run is active; SMP lanes read the invariant pointer lock-free.
   ProfileSink* profile_sink_ = nullptr;
@@ -529,7 +522,7 @@ class Machine {
   void attach_dcache_probe(Task& task);
   // Emits a kSwitch trace event when the scheduler picks a different task.
   void note_task_switch(const Task& task);
-  Xoshiro256 rng_{0x1A5F'9E37ULL};
+  Xoshiro256 rng_{kDefaultRngSeed};
   // Program registry; mutable so the find path can cache images parsed from
   // their on-disk (VFS) LZPF form.
   mutable std::map<std::string, isa::Program> programs_;

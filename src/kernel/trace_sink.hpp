@@ -10,9 +10,8 @@
 //
 // Probes never charge simulated cycles: attaching a sink must not perturb
 // the cycle counts the benches measure (bench/trace_overhead.cpp asserts
-// this). Compiling with LZP_TRACE_DISABLED turns Machine::trace_sink() into
-// a constant nullptr, so every `if (auto* sink = machine.trace_sink())` call
-// site folds away entirely.
+// this). A detached or disabled sink costs each `if (auto* sink =
+// machine.trace_sink())` call site one load and one branch.
 #pragma once
 
 #include <cstdint>
