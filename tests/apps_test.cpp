@@ -3,6 +3,7 @@
 #include "apps/coreutils.hpp"
 #include "apps/jitcc.hpp"
 #include "apps/webserver.hpp"
+#include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
 
 namespace lzp::apps {
@@ -99,24 +100,15 @@ struct WebFixture {
   std::vector<Tid> workers;
 
   WebFixture(const ServerProfile& profile, std::uint64_t file_size,
-             std::uint64_t total_requests, int num_workers) {
-    (void)machine.vfs().put_file_of_size("index.html", file_size);
-    kern::ClientWorkload workload;
-    workload.connections = 36;
-    workload.total_requests = total_requests;
-    workload.response_bytes = profile.header_bytes + file_size;
-    listener_id = machine.net().create_listener(workload);
-
-    auto program = make_webserver(machine, profile, "index.html").value();
-    for (int i = 0; i < num_workers; ++i) {
-      const Tid tid = machine.load(program).value();
-      kern::FdEntry entry;
-      entry.kind = kern::FdEntry::Kind::kListener;
-      entry.net_id = listener_id;
-      // The listener is installed as fd 3 by convention.
-      machine.find_task(tid)->process->install_fd_at(kListenerFd, entry);
-      workers.push_back(tid);
-    }
+             std::uint64_t total_requests, unsigned num_workers) {
+    // Every worker gets the listener as fd 3, by convention.
+    const scenario::Scenario spec{
+        scenario::Web{profile, num_workers, file_size, 36, total_requests}};
+    auto instance = scenario::build(spec, machine, nullptr);
+    EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+    if (!instance.is_ok()) return;
+    listener_id = instance.value().listeners.front();
+    workers = instance.value().workers;
   }
 };
 

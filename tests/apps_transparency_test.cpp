@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/coreutils.hpp"
-#include "core/lazypoline.hpp"
+#include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
 
 namespace lzp::apps {
@@ -42,14 +42,13 @@ Observation run_interposed(const std::string& name, LibcProfile profile,
   auto program = make_coreutil(name, profile).value();
   machine.register_program(program);
   const kern::Tid tid = machine.load(program).value();
-  core::LazypolineConfig config;
-  config.xstate = xstate;
-  auto runtime = core::Lazypoline::create(machine, config);
+  scenario::Mechanism lazypoline = scenario::Mechanism::Kind::kLazypoline;
+  lazypoline.lazypoline.xstate = xstate;
   // The clobbering wrapper models an interposer whose native code freely
   // uses vector registers — the §IV-B compatibility threat.
   auto handler = std::make_shared<interpose::XstateClobberingHandler>(
       std::make_shared<interpose::DummyHandler>());
-  EXPECT_TRUE(runtime->install(machine, tid, handler).is_ok());
+  EXPECT_TRUE(scenario::install(lazypoline, machine, tid, handler).is_ok());
   const auto stats = machine.run();
   EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
   Observation obs;

@@ -11,6 +11,7 @@
 #include "cpu/decode_cache.hpp"
 #include "cpu/execute.hpp"
 #include "isa/assemble.hpp"
+#include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
 
 namespace lzp::cpu {
@@ -254,17 +255,17 @@ namespace {
 
 TEST(DecodeCacheMachineTest, LazypolineRewriteTakesEffectWithWarmCache) {
   const std::uint64_t iterations = 50;
-  auto program = testutil::make_syscall_loop(kern::kSysGetpid, iterations);
+  const scenario::Scenario spec{scenario::Loop{iterations, kern::kSysGetpid},
+                                scenario::Mechanism::Kind::kLazypoline};
   kern::Machine machine;
   // This test pins the *per-instruction* decode cache; the superblock engine
   // would satisfy the hot loop from its own block cache instead.
   machine.block_exec_enabled = false;
-  machine.mmap_min_addr = 0;
-  machine.register_program(program);
-  const kern::Tid tid = machine.load(program).value();
   auto handler = std::make_shared<interpose::TracingHandler>();
-  auto runtime = Lazypoline::create(machine, LazypolineConfig{});
-  ASSERT_TRUE(runtime->install(machine, tid, handler).is_ok());
+  auto instance = scenario::build(spec, machine, handler);
+  ASSERT_TRUE(instance.is_ok()) << instance.status().to_string();
+  const kern::Tid tid = instance.value().workers.front();
+  const auto& runtime = instance.value().runtimes.front();
 
   auto stats = machine.run();
   ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
@@ -289,18 +290,16 @@ TEST(DecodeCacheMachineTest, LazypolineRewriteTakesEffectWithWarmCache) {
 }
 
 TEST(DecodeCacheMachineTest, DisabledCacheIsBehaviorIdentical) {
-  const std::uint64_t iterations = 25;
-  auto program = testutil::make_syscall_loop(kern::kSysGetpid, iterations);
+  const scenario::Scenario spec{scenario::Loop{25, kern::kSysGetpid},
+                                scenario::Mechanism::Kind::kLazypoline};
 
   auto run_with = [&](bool enabled) {
     kern::Machine machine;
-    machine.mmap_min_addr = 0;
     machine.decode_cache_enabled = enabled;
-    machine.register_program(program);
-    const kern::Tid tid = machine.load(program).value();
     auto handler = std::make_shared<interpose::TracingHandler>();
-    auto runtime = Lazypoline::create(machine, LazypolineConfig{});
-    EXPECT_TRUE(runtime->install(machine, tid, handler).is_ok());
+    auto instance = scenario::build(spec, machine, handler);
+    EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+    const kern::Tid tid = instance.value().workers.front();
     auto stats = machine.run();
     EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
     kern::Task* task = machine.find_task(tid);

@@ -6,9 +6,8 @@
 #include "apps/webserver.hpp"
 #include "core/lazypoline.hpp"
 #include "mechanisms/seccomp_bpf_tool.hpp"
-#include "mechanisms/sud_tool.hpp"
+#include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
-#include "zpoline/zpoline.hpp"
 
 namespace lzp {
 namespace {
@@ -18,66 +17,40 @@ using interpose::TracingHandler;
 using kern::Machine;
 using kern::Tid;
 
-// Cycles per run of a microbench loop under a given setup.
-std::uint64_t micro_cycles(
-    const isa::Program& program,
-    const std::function<void(Machine&, Tid)>& setup) {
-  return testutil::measure_cycles(program, setup);
+using scenario::Mechanism;
+
+// Cycles of a 400-iteration syscall(500) loop under `mechanism`.
+std::uint64_t micro_cycles(const Mechanism& mechanism) {
+  const scenario::Scenario spec{scenario::Loop{400}, mechanism};
+  Machine machine;
+  auto instance =
+      scenario::build(spec, machine, std::make_shared<DummyHandler>());
+  EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+  auto outcome = scenario::run(spec, machine, instance.value());
+  EXPECT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  return outcome.is_ok() ? outcome.value().wall_cycles : 0;
 }
 
 // Table II ordering: baseline < baseline+SUD < zpoline+eps < lazypoline-no-x
 // < lazypoline < SUD. (Exact ratios are validated by bench/table2_micro.)
 TEST(TableTwoIntegration, OverheadOrderingMatchesPaper) {
-  const std::uint64_t iterations = 400;
-  auto program = testutil::make_syscall_loop(kern::kSysNonexistent, iterations);
+  const std::uint64_t baseline = micro_cycles(Mechanism::Kind::kNative);
+  const std::uint64_t sud_enabled = micro_cycles(Mechanism::Kind::kSudAllow);
+  const std::uint64_t zpoline = micro_cycles(Mechanism::Kind::kZpoline);
 
-  const std::uint64_t baseline = micro_cycles(program, nullptr);
-
-  const std::uint64_t sud_enabled = micro_cycles(
-      program, [](Machine& machine, Tid tid) {
-        ASSERT_TRUE(
-            mechanisms::SudMechanism::install_always_allow(machine, tid).is_ok());
-      });
-
-  const std::uint64_t zpoline = micro_cycles(
-      program, [&](Machine& machine, Tid tid) {
-        machine.register_program(program);
-        zpoline::ZpolineMechanism mechanism;
-        ASSERT_TRUE(
-            mechanism.install(machine, tid, std::make_shared<DummyHandler>())
-                .is_ok());
-      });
-
+  // Steady state: pre-rewrite all sites (paper §V-B methodology).
   auto lazy_cycles = [&](core::XstateMode mode, bool sud) {
-    return micro_cycles(program, [&](Machine& machine, Tid tid) {
-      machine.register_program(program);
-      core::LazypolineConfig config;
-      config.xstate = mode;
-      config.use_sud = sud;
-      auto runtime = core::Lazypoline::create(machine, config);
-      ASSERT_TRUE(
-          runtime->install(machine, tid, std::make_shared<DummyHandler>())
-              .is_ok());
-      // Steady state: pre-rewrite all sites (paper §V-B methodology).
-      for (std::uint64_t site : program.true_syscall_addresses()) {
-        ASSERT_TRUE(runtime->rewrite_site_manually(tid, site).is_ok());
-      }
-      if (!sud) {
-        ASSERT_TRUE(runtime->disable_sud(tid).is_ok());
-      }
-    });
+    Mechanism lazypoline = Mechanism::Kind::kLazypoline;
+    lazypoline.lazypoline.xstate = mode;
+    lazypoline.lazypoline.use_sud = sud;
+    lazypoline.prerewrite = true;
+    return micro_cycles(lazypoline);
   };
   const std::uint64_t lazy_no_sud = lazy_cycles(core::XstateMode::kNone, false);
   const std::uint64_t lazy_no_xstate = lazy_cycles(core::XstateMode::kNone, true);
   const std::uint64_t lazy_full = lazy_cycles(core::XstateMode::kFull, true);
 
-  const std::uint64_t sud = micro_cycles(
-      program, [](Machine& machine, Tid tid) {
-        mechanisms::SudMechanism mechanism;
-        ASSERT_TRUE(
-            mechanism.install(machine, tid, std::make_shared<DummyHandler>())
-                .is_ok());
-      });
+  const std::uint64_t sud = micro_cycles(Mechanism::Kind::kSud);
 
   EXPECT_LT(baseline, sud_enabled);
   EXPECT_LT(sud_enabled, lazy_no_xstate);
@@ -105,7 +78,7 @@ TEST(TableTwoIntegration, OverheadOrderingMatchesPaper) {
 TEST(ExhaustivenessIntegration, JitTraceComparison) {
   const std::string src = apps::exhaustiveness_test_source();
 
-  auto run_traced = [&](const std::string& which) {
+  auto run_traced = [&](Mechanism::Kind which) {
     Machine machine;
     machine.mmap_min_addr = 0;
     EXPECT_TRUE(machine.vfs()
@@ -116,25 +89,18 @@ TEST(ExhaustivenessIntegration, JitTraceComparison) {
     machine.register_program(runner.program);
     auto tid = machine.load(runner.program).value();
     auto handler = std::make_shared<TracingHandler>();
-    if (which == "sud") {
-      mechanisms::SudMechanism mechanism;
-      EXPECT_TRUE(mechanism.install(machine, tid, handler).is_ok());
-    } else if (which == "zpoline") {
-      zpoline::ZpolineMechanism mechanism;
-      EXPECT_TRUE(mechanism.install(machine, tid, handler).is_ok());
-    } else {
-      auto runtime = core::Lazypoline::create(machine, {});
-      EXPECT_TRUE(runtime->install(machine, tid, handler).is_ok());
-    }
+    EXPECT_TRUE(scenario::install(which, machine, tid, handler).is_ok());
     auto stats = machine.run();
-    EXPECT_TRUE(stats.all_exited) << which << ": " << machine.last_fatal();
-    EXPECT_EQ(machine.find_task(tid)->exit_code, 21) << which;
+    EXPECT_TRUE(stats.all_exited)
+        << scenario::to_string(which) << ": " << machine.last_fatal();
+    EXPECT_EQ(machine.find_task(tid)->exit_code, 21)
+        << scenario::to_string(which);
     return handler->traced_numbers();
   };
 
-  const auto sud_trace = run_traced("sud");
-  const auto lazy_trace = run_traced("lazypoline");
-  const auto zpoline_trace = run_traced("zpoline");
+  const auto sud_trace = run_traced(Mechanism::Kind::kSud);
+  const auto lazy_trace = run_traced(Mechanism::Kind::kLazypoline);
+  const auto zpoline_trace = run_traced(Mechanism::Kind::kZpoline);
 
   // lazypoline and SUD print the exact same syscalls in the same order.
   EXPECT_EQ(sud_trace, lazy_trace);
@@ -156,38 +122,17 @@ TEST(WebServerIntegration, ThroughputOrderingAndDilution) {
 
   auto run_server = [&](std::uint64_t file_size,
                         const std::string& mechanism) -> double {
+    const scenario::Scenario spec{
+        scenario::Web{apps::nginx_profile(), 1, file_size, 36, requests},
+        scenario::parse_mechanism(mechanism).value()};
     Machine machine;
-    machine.mmap_min_addr = 0;
-    (void)machine.vfs().put_file_of_size("index.html", file_size);
-    const auto profile = apps::nginx_profile();
-    kern::ClientWorkload workload;
-    workload.total_requests = requests;
-    workload.response_bytes = profile.header_bytes + file_size;
-    const int listener = machine.net().create_listener(workload);
-    auto program = apps::make_webserver(machine, profile, "index.html").value();
-    machine.register_program(program);
-    auto tid = machine.load(program).value();
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid)->process->install_fd_at(apps::kListenerFd, entry);
-
-    auto handler = std::make_shared<DummyHandler>();
-    if (mechanism == "zpoline") {
-      zpoline::ZpolineMechanism zp;
-      EXPECT_TRUE(zp.install(machine, tid, handler).is_ok());
-    } else if (mechanism == "lazypoline") {
-      auto runtime = core::Lazypoline::create(machine, {});
-      EXPECT_TRUE(runtime->install(machine, tid, handler).is_ok());
-    } else if (mechanism == "sud") {
-      mechanisms::SudMechanism sud;
-      EXPECT_TRUE(sud.install(machine, tid, handler).is_ok());
-    }
-    auto stats = machine.run();
-    EXPECT_TRUE(stats.all_exited) << mechanism << ": " << machine.last_fatal();
-    EXPECT_EQ(machine.net().completed_requests(listener), requests);
-    const std::uint64_t cycles = machine.find_task(tid)->cycles;
-    return static_cast<double>(requests) / static_cast<double>(cycles);
+    auto instance =
+        scenario::build(spec, machine, std::make_shared<DummyHandler>());
+    EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+    auto outcome = scenario::run(spec, machine, instance.value());
+    EXPECT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    return static_cast<double>(requests) /
+           static_cast<double>(outcome.value().wall_cycles);
   };
 
   const double base_1k = run_server(1024, "native");
@@ -249,9 +194,11 @@ TEST(ExecveIntegration, SeccompPersistsAndLazypolineReinitializes) {
                   .is_ok());
   // ...plus lazypoline with preload.
   auto handler = std::make_shared<TracingHandler>();
-  auto runtime = core::Lazypoline::create(machine, {});
+  std::shared_ptr<core::Lazypoline> runtime;
+  ASSERT_TRUE(scenario::install(Mechanism::Kind::kLazypoline, machine, tid,
+                                handler, &runtime)
+                  .is_ok());
   runtime->attach_as_preload();
-  ASSERT_TRUE(runtime->install(machine, tid, handler).is_ok());
 
   auto stats = machine.run();
   EXPECT_TRUE(stats.all_exited) << machine.last_fatal();

@@ -15,51 +15,27 @@
 #include "apps/minilibc.hpp"
 #include "apps/webserver.hpp"
 #include "bpf/seccomp_filter.hpp"
-#include "core/lazypoline.hpp"
 #include "isa/assemble.hpp"
 #include "kernel/machine.hpp"
 #include "kernel/syscalls.hpp"
-#include "mechanisms/ptrace_tool.hpp"
-#include "mechanisms/sud_tool.hpp"
 #include "policy/compile.hpp"
 #include "policy/enforce.hpp"
 #include "policy/extract.hpp"
 #include "policy/from_flight_recorder.hpp"
+#include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
-#include "zpoline/zpoline.hpp"
 
 namespace {
 using namespace lzp;
 using kern::Machine;
 using kern::Tid;
 
-enum class Mech { kPtrace, kSud, kZpoline, kLazypoline };
+using Mech = scenario::Mechanism::Kind;
 
 void install_mechanism(Machine& machine, Tid tid,
                        std::shared_ptr<interpose::SyscallHandler> handler,
                        Mech mech) {
-  switch (mech) {
-    case Mech::kPtrace: {
-      mechanisms::PtraceMechanism mechanism;
-      ASSERT_TRUE(mechanism.install(machine, tid, handler).is_ok());
-      break;
-    }
-    case Mech::kSud: {
-      mechanisms::SudMechanism mechanism;
-      ASSERT_TRUE(mechanism.install(machine, tid, handler).is_ok());
-      break;
-    }
-    case Mech::kZpoline: {
-      zpoline::ZpolineMechanism mechanism;
-      ASSERT_TRUE(mechanism.install(machine, tid, handler).is_ok());
-      break;
-    }
-    case Mech::kLazypoline: {
-      auto runtime = core::Lazypoline::create(machine, {});
-      ASSERT_TRUE(runtime->install(machine, tid, handler).is_ok());
-      break;
-    }
-  }
+  ASSERT_TRUE(scenario::install(mech, machine, tid, handler).is_ok());
 }
 
 // --- automaton format --------------------------------------------------------
@@ -433,51 +409,26 @@ TEST(PolicyExtractTest, FlightRecorderLearning) {
 
 // --- webserver containment ---------------------------------------------------
 
-struct WebSetup {
-  isa::Program program;
-  std::vector<Tid> tids;
-};
-
-void setup_webserver(Machine& machine, WebSetup* out) {
-  machine.mmap_min_addr = 0;
-  machine.reseed_rng(0x1A5F'9E37ULL);
-  const apps::ServerProfile profile = apps::nginx_profile();
-  constexpr std::uint64_t kFileSize = 1024;
-  ASSERT_TRUE(machine.vfs().put_file_of_size("index.html", kFileSize).is_ok());
-  kern::ClientWorkload client;
-  client.connections = 4;
-  client.total_requests = 60;
-  client.response_bytes = profile.header_bytes + kFileSize;
-  const int listener = machine.net().create_listener(client);
-  auto program = apps::make_webserver(machine, profile, "index.html");
-  ASSERT_TRUE(program.is_ok()) << program.status().to_string();
-  out->program = std::move(program).value();
-  machine.register_program(out->program);
-  for (int worker = 0; worker < 2; ++worker) {
-    auto tid = machine.load(out->program);
-    ASSERT_TRUE(tid.is_ok());
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid.value())->process->install_fd_at(apps::kListenerFd,
-                                                           entry);
-    out->tids.push_back(tid.value());
-  }
+// Two nginx workers serving 60 requests of a 1 KiB file over 4 connections,
+// under `mech`.
+isa::Program setup_webserver(Machine& machine, Mech mech,
+                             std::shared_ptr<interpose::SyscallHandler> handler) {
+  const scenario::Scenario spec{
+      scenario::Web{apps::nginx_profile(), 2, 1024, 4, 60}, mech};
+  auto instance = scenario::build(spec, machine, std::move(handler));
+  EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+  return instance.is_ok() ? instance.value().program : isa::Program{};
 }
 
 TEST(PolicyWebserverTest, StaticContainsDynamic) {
   Machine machine;
-  WebSetup setup;
-  setup_webserver(machine, &setup);
-  const policy::StaticExtraction extraction =
-      policy::extract_static(setup.program);
+  auto tracer = std::make_shared<interpose::TracingHandler>();
+  const isa::Program program =
+      setup_webserver(machine, Mech::kLazypoline, tracer);
+  const policy::StaticExtraction extraction = policy::extract_static(program);
   EXPECT_FALSE(extraction.automaton.has_wildcard());
   EXPECT_EQ(extraction.sites_resolved, extraction.sites_total);
 
-  auto tracer = std::make_shared<interpose::TracingHandler>();
-  for (const Tid tid : setup.tids) {
-    install_mechanism(machine, tid, tracer, Mech::kLazypoline);
-  }
   ASSERT_TRUE(machine.run(400'000'000ULL).all_exited);
 
   std::vector<std::pair<Tid, std::uint64_t>> stream;
@@ -754,23 +705,17 @@ TEST(PolicyEnforceTest, KillVerdictTerminatesProcess) {
 }
 
 TEST(PolicyEnforceTest, WebserverCleanUnderOwnPolicyAllMechanisms) {
-  WebSetup probe;
+  isa::Program probe;
   {
     Machine machine;
-    setup_webserver(machine, &probe);
+    probe = setup_webserver(machine, Mech::kNative, nullptr);
   }
-  const policy::Automaton automaton =
-      policy::extract_static(probe.program).automaton;
-  for (const Mech mech :
-       {Mech::kPtrace, Mech::kSud, Mech::kZpoline, Mech::kLazypoline}) {
+  const policy::Automaton automaton = policy::extract_static(probe).automaton;
+  for (const Mech mech : scenario::kInterposers) {
     Machine machine;
-    WebSetup setup;
-    setup_webserver(machine, &setup);
     auto enforcer = policy::PolicyEnforcer::create(automaton, {});
     ASSERT_TRUE(enforcer.is_ok());
-    for (const Tid tid : setup.tids) {
-      install_mechanism(machine, tid, enforcer.value(), mech);
-    }
+    setup_webserver(machine, mech, enforcer.value());
     ASSERT_TRUE(machine.run(400'000'000ULL).all_exited)
         << machine.last_fatal();
     const policy::EnforcerStats stats = enforcer.value()->stats();

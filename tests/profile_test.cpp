@@ -8,55 +8,25 @@
 #include <gtest/gtest.h>
 
 #include "apps/minilibc.hpp"
-#include "core/lazypoline.hpp"
 #include "interpose/handler.hpp"
 #include "isa/assemble.hpp"
 #include "kernel/machine.hpp"
 #include "kernel/smp.hpp"
 #include "kernel/syscalls.hpp"
-#include "mechanisms/ptrace_tool.hpp"
-#include "mechanisms/sud_tool.hpp"
 #include "profile/profiler.hpp"
+#include "scenario/scenario.hpp"
 #include "trace/metrics_registry.hpp"
-#include "zpoline/zpoline.hpp"
 
 namespace lzp {
 namespace {
 
 constexpr std::uint64_t kSeed = 0xC0FFEEULL;
 
-enum class Mech { kPtrace, kSud, kZpoline, kLazypoline };
-constexpr Mech kAllMechs[] = {Mech::kPtrace, Mech::kSud, Mech::kZpoline,
-                              Mech::kLazypoline};
-
-const char* mech_name(Mech mech) {
-  switch (mech) {
-    case Mech::kPtrace: return "ptrace";
-    case Mech::kSud: return "sud";
-    case Mech::kZpoline: return "zpoline";
-    case Mech::kLazypoline: return "lazypoline";
-  }
-  return "?";
-}
+using Mech = scenario::Mechanism::Kind;
 
 void install(kern::Machine& machine, kern::Tid tid, Mech mech) {
-  auto handler = std::make_shared<interpose::DummyHandler>();
-  Status status;
-  switch (mech) {
-    case Mech::kPtrace:
-      status = mechanisms::PtraceMechanism().install(machine, tid, handler);
-      break;
-    case Mech::kSud:
-      status = mechanisms::SudMechanism().install(machine, tid, handler);
-      break;
-    case Mech::kZpoline:
-      status = zpoline::ZpolineMechanism().install(machine, tid, handler);
-      break;
-    case Mech::kLazypoline:
-      status = core::Lazypoline::create(machine, {})
-                   ->install(machine, tid, handler);
-      break;
-  }
+  const Status status = scenario::install(
+      mech, machine, tid, std::make_shared<interpose::DummyHandler>());
   ASSERT_TRUE(status.is_ok()) << status.to_string();
 }
 
@@ -163,12 +133,12 @@ TEST(ProfilerTest, ClassSumsMatchMachineCyclesExactly) {
   };
   constexpr Engine kEngines[] = {
       {false, false, " step"}, {true, false, " block"}, {true, true, " trace"}};
-  for (const Mech mech : kAllMechs) {
+  for (const Mech mech : scenario::kInterposers) {
     for (const Engine& engine : kEngines) {
       const RunOutcome run =
           run_serial(mech, /*profiled=*/true, engine.block, engine.trace);
       EXPECT_EQ(run.profiler_cycles, run.machine_cycles)
-          << mech_name(mech) << engine.name;
+          << scenario::to_string(mech) << engine.name;
       EXPECT_GT(run.profiler_cycles, 0u);
     }
   }
@@ -177,12 +147,12 @@ TEST(ProfilerTest, ClassSumsMatchMachineCyclesExactly) {
 // Attaching a profiler changes nothing the simulation can observe: cycles
 // and instructions are bit-identical with profiling on and off.
 TEST(ProfilerTest, ProfilingIsCycleInvisible) {
-  for (const Mech mech : kAllMechs) {
+  for (const Mech mech : scenario::kInterposers) {
     for (const bool block_engine : {true, false}) {
       const RunOutcome off = run_serial(mech, /*profiled=*/false, block_engine);
       const RunOutcome on = run_serial(mech, /*profiled=*/true, block_engine);
-      EXPECT_EQ(off.machine_cycles, on.machine_cycles) << mech_name(mech);
-      EXPECT_EQ(off.machine_insns, on.machine_insns) << mech_name(mech);
+      EXPECT_EQ(off.machine_cycles, on.machine_cycles) << scenario::to_string(mech);
+      EXPECT_EQ(off.machine_insns, on.machine_insns) << scenario::to_string(mech);
     }
   }
 }

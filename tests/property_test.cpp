@@ -12,10 +12,13 @@
 #include "bpf/seccomp_filter.hpp"
 #include "core/lazypoline.hpp"
 #include "isa/decode.hpp"
+#include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
 
 namespace lzp {
 namespace {
+
+constexpr auto kLazypoline = scenario::Mechanism::Kind::kLazypoline;
 
 // --- decoder totality fuzz -------------------------------------------------
 
@@ -61,8 +64,9 @@ TEST_P(SledEntryTest, CallRaxWithAnySyscallNumberReachesInterposer) {
   machine.register_program(program);
   auto tid = machine.load(program).value();
   auto handler = std::make_shared<interpose::TracingHandler>();
-  auto runtime = core::Lazypoline::create(machine, {});
-  ASSERT_TRUE(runtime->install(machine, tid, handler).is_ok());
+  std::shared_ptr<core::Lazypoline> runtime;
+  ASSERT_TRUE(
+      scenario::install(kLazypoline, machine, tid, handler, &runtime).is_ok());
   // Pre-rewrite the site so execution takes the pure fast path.
   ASSERT_TRUE(runtime
                   ->rewrite_site_manually(tid,
@@ -151,10 +155,10 @@ TEST_P(LazinessTest, SlowPathHitsEqualDistinctSitesNotIterations) {
   machine.mmap_min_addr = 0;
   machine.register_program(program);
   auto tid = machine.load(program).value();
-  auto runtime = core::Lazypoline::create(machine, {});
-  ASSERT_TRUE(runtime
-                  ->install(machine, tid,
-                            std::make_shared<interpose::DummyHandler>())
+  std::shared_ptr<core::Lazypoline> runtime;
+  ASSERT_TRUE(scenario::install(kLazypoline, machine, tid,
+                                std::make_shared<interpose::DummyHandler>(),
+                                &runtime)
                   .is_ok());
   auto stats = machine.run();
   EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
@@ -192,8 +196,7 @@ TEST_P(TransparencyTest, DummyInterpositionIsInvisible) {
     machine.register_program(program);
     auto tid = machine.load(program).value();
     auto handler = std::make_shared<interpose::TracingHandler>();
-    auto runtime = core::Lazypoline::create(machine, {});
-    ASSERT_TRUE(runtime->install(machine, tid, handler).is_ok());
+    ASSERT_TRUE(scenario::install(kLazypoline, machine, tid, handler).is_ok());
     auto stats = machine.run();
     EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
     interposed_code = machine.find_task(tid)->exit_code;
@@ -319,8 +322,7 @@ Observed run_lazypoline(const isa::Program& program) {
   machine.register_program(program);
   const kern::Tid tid = machine.load(program).value();
   auto handler = std::make_shared<interpose::TracingHandler>();
-  auto runtime = core::Lazypoline::create(machine, {});
-  EXPECT_TRUE(runtime->install(machine, tid, handler).is_ok());
+  EXPECT_TRUE(scenario::install(kLazypoline, machine, tid, handler).is_ok());
   const auto stats = machine.run();
   EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
   Observed obs;

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "apps/webserver.hpp"
-#include "core/lazypoline.hpp"
+#include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
 
 namespace lzp::kern {
@@ -30,26 +30,14 @@ struct SmpFixture {
   std::vector<Tid> tids;
 
   explicit SmpFixture(unsigned workers, std::uint64_t requests_each = 30) {
-    machine.mmap_min_addr = 0;
-    EXPECT_TRUE(machine.vfs().put_file_of_size("index.html", 1024).is_ok());
-    auto program = apps::make_webserver(machine, apps::nginx_profile(),
-                                        "index.html")
-                       .value();
-    machine.register_program(program);
-    for (unsigned w = 0; w < workers; ++w) {
-      ClientWorkload workload;
-      workload.connections = 4;
-      workload.total_requests = requests_each;
-      workload.response_bytes = apps::nginx_profile().header_bytes + 1024;
-      const int listener = machine.net().create_listener(workload);
-      listeners.push_back(listener);
-      const Tid tid = machine.load(program).value();
-      FdEntry entry;
-      entry.kind = FdEntry::Kind::kListener;
-      entry.net_id = listener;
-      machine.find_task(tid)->process->install_fd_at(apps::kListenerFd, entry);
-      tids.push_back(tid);
-    }
+    const scenario::Scenario spec{
+        scenario::Web{apps::nginx_profile(), workers, 1024, 4, requests_each,
+                      /*shared_listener=*/false}};
+    auto instance = scenario::build(spec, machine, nullptr);
+    EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+    if (!instance.is_ok()) return;
+    listeners = instance.value().listeners;
+    tids = instance.value().workers;
   }
 
   [[nodiscard]] std::uint64_t completed() {
@@ -193,32 +181,25 @@ TEST(SmpDeterminismTest, FourCpuMatchesSingleCpuPerTaskWork) {
   }
 }
 
+// One 4-thread (CLONE_VM) nginx server under lazypoline, serving 200
+// requests of a 2 KiB file over 12 connections; returns its listener.
+int load_threaded_server(Machine& machine) {
+  const scenario::Scenario spec{
+      scenario::Web{apps::nginx_profile(), 1, 2048, 12, 200,
+                    /*shared_listener=*/true, /*threads=*/4},
+      scenario::Mechanism::Kind::kLazypoline};
+  auto instance = scenario::build(
+      spec, machine, std::make_shared<interpose::TracingHandler>());
+  EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+  return instance.is_ok() ? instance.value().listeners.front() : -1;
+}
+
 // CLONE_VM threads under lazypoline: the gang invariant keeps every sharer
 // on one CPU, so the threaded server runs under run_smp with zero locking
 // inside the slice and still serves the full workload.
 TEST(SmpGangTest, ClonedVmServerStaysCoLocated) {
   Machine machine;
-  machine.mmap_min_addr = 0;
-  ASSERT_TRUE(machine.vfs().put_file_of_size("index.html", 2048).is_ok());
-  ClientWorkload workload;
-  workload.connections = 12;
-  workload.total_requests = 200;
-  workload.response_bytes = apps::nginx_profile().header_bytes + 2048;
-  const int listener = machine.net().create_listener(workload);
-
-  auto program = apps::make_threaded_webserver(machine, apps::nginx_profile(),
-                                               "index.html", 4)
-                     .value();
-  machine.register_program(program);
-  const Tid main_tid = machine.load(program).value();
-  FdEntry entry;
-  entry.kind = FdEntry::Kind::kListener;
-  entry.net_id = listener;
-  machine.find_task(main_tid)->process->install_fd_at(apps::kListenerFd,
-                                                      entry);
-  auto handler = std::make_shared<interpose::TracingHandler>();
-  auto runtime = core::Lazypoline::create(machine, {});
-  ASSERT_TRUE(runtime->install(machine, main_tid, handler).is_ok());
+  const int listener = load_threaded_server(machine);
 
   SmpConfig config;
   config.cpus = 4;
@@ -242,27 +223,7 @@ TEST(SmpGangTest, ClonedVmServerStaysCoLocated) {
 // reach the spread-out siblings as counted shootdowns.
 TEST(SmpGangTest, NonGangSpreadServesAndShootsDown) {
   Machine machine;
-  machine.mmap_min_addr = 0;
-  ASSERT_TRUE(machine.vfs().put_file_of_size("index.html", 2048).is_ok());
-  ClientWorkload workload;
-  workload.connections = 12;
-  workload.total_requests = 200;
-  workload.response_bytes = apps::nginx_profile().header_bytes + 2048;
-  const int listener = machine.net().create_listener(workload);
-
-  auto program = apps::make_threaded_webserver(machine, apps::nginx_profile(),
-                                               "index.html", 4)
-                     .value();
-  machine.register_program(program);
-  const Tid main_tid = machine.load(program).value();
-  FdEntry entry;
-  entry.kind = FdEntry::Kind::kListener;
-  entry.net_id = listener;
-  machine.find_task(main_tid)->process->install_fd_at(apps::kListenerFd,
-                                                      entry);
-  auto handler = std::make_shared<interpose::TracingHandler>();
-  auto runtime = core::Lazypoline::create(machine, {});
-  ASSERT_TRUE(runtime->install(machine, main_tid, handler).is_ok());
+  const int listener = load_threaded_server(machine);
 
   SmpConfig config;
   config.cpus = 4;

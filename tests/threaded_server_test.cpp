@@ -8,6 +8,7 @@
 
 #include "apps/webserver.hpp"
 #include "core/lazypoline.hpp"
+#include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
 
 namespace lzp::apps {
@@ -21,29 +22,18 @@ struct ThreadedFixture {
   std::shared_ptr<interpose::TracingHandler> handler =
       std::make_shared<interpose::TracingHandler>();
 
-  ThreadedFixture(int threads, std::uint64_t requests, bool interposed) {
-    machine.mmap_min_addr = 0;
-    (void)machine.vfs().put_file_of_size("index.html", 2048);
-    kern::ClientWorkload workload;
-    workload.connections = 12;
-    workload.total_requests = requests;
-    workload.response_bytes = nginx_profile().header_bytes + 2048;
-    listener = machine.net().create_listener(workload);
-
-    auto program =
-        make_threaded_webserver(machine, nginx_profile(), "index.html", threads)
-            .value();
-    machine.register_program(program);
-    main_tid = machine.load(program).value();
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(main_tid)->process->install_fd_at(kListenerFd, entry);
-
-    if (interposed) {
-      runtime = core::Lazypoline::create(machine, {});
-      EXPECT_TRUE(runtime->install(machine, main_tid, handler).is_ok());
-    }
+  ThreadedFixture(unsigned threads, std::uint64_t requests, bool interposed) {
+    const scenario::Scenario spec{
+        scenario::Web{nginx_profile(), 1, 2048, 12, requests,
+                      /*shared_listener=*/true, threads},
+        interposed ? scenario::Mechanism::Kind::kLazypoline
+                   : scenario::Mechanism::Kind::kNative};
+    auto instance = scenario::build(spec, machine, handler);
+    EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+    if (!instance.is_ok()) return;
+    listener = instance.value().listeners.front();
+    main_tid = instance.value().workers.front();
+    if (interposed) runtime = instance.value().runtimes.front();
   }
 };
 

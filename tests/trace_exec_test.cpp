@@ -20,12 +20,12 @@
 
 #include "apps/minilibc.hpp"
 #include "apps/webserver.hpp"
-#include "core/lazypoline.hpp"
 #include "cpu/block_cache.hpp"
 #include "cpu/trace_cache.hpp"
 #include "isa/assemble.hpp"
 #include "kernel/machine.hpp"
 #include "kernel/syscalls.hpp"
+#include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
 
 namespace lzp {
@@ -302,25 +302,17 @@ TEST(TraceExecTest, LazypolineSyscallLoopFusesHostCallsIntoTraces) {
   // sites pre-rewritten so every iteration takes the steady-state callrax ->
   // trampoline -> handler path the fused superop covers (a getpid loop would
   // detour through kernel emulation, which ends every chain at the boundary).
-  const auto program =
-      testutil::make_syscall_loop(kern::kSysNonexistent, 2'000);
+  scenario::Mechanism lazypoline = scenario::Mechanism::Kind::kLazypoline;
+  lazypoline.prerewrite = true;
+  const scenario::Scenario spec{scenario::Loop{2'000}, lazypoline};
 
   auto run_with = [&](bool trace_on) {
     kern::Machine machine;
     machine.trace_exec_enabled = trace_on;
-    machine.mmap_min_addr = 0;
-    machine.register_program(program);
-    const kern::Tid tid = machine.load(program).value();
-    core::LazypolineConfig config;
-    config.xstate = core::XstateMode::kFull;
-    auto runtime = core::Lazypoline::create(machine, config);
-    EXPECT_TRUE(runtime
-                    ->install(machine, tid,
-                              std::make_shared<interpose::DummyHandler>())
-                    .is_ok());
-    for (std::uint64_t site : program.true_syscall_addresses()) {
-      EXPECT_TRUE(runtime->rewrite_site_manually(tid, site).is_ok());
-    }
+    auto instance = scenario::build(
+        spec, machine, std::make_shared<interpose::DummyHandler>());
+    EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+    const kern::Tid tid = instance.value().workers.front();
     const auto stats = machine.run();
     EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
     Outcome out;
@@ -349,29 +341,15 @@ TEST(TraceExecSmpTest, FourCpuShootdownDuringChainedExecution) {
   // lazypoline: the runtime's self-modifying site rewrites on one CPU must
   // shoot down the chained traces other CPUs are executing, and the
   // workload must still serve every request.
+  const scenario::Scenario spec{
+      scenario::Web{apps::nginx_profile(), 1, 1024, 12, 300,
+                    /*shared_listener=*/true, /*threads=*/4},
+      scenario::Mechanism::Kind::kLazypoline};
   kern::Machine machine;
-  machine.mmap_min_addr = 0;
-  ASSERT_TRUE(machine.vfs().put_file_of_size("index.html", 1024).is_ok());
-  kern::ClientWorkload workload;
-  workload.connections = 12;
-  workload.total_requests = 300;
-  workload.response_bytes = apps::nginx_profile().header_bytes + 1024;
-  const int listener = machine.net().create_listener(workload);
-
-  auto program = apps::make_threaded_webserver(machine, apps::nginx_profile(),
-                                               "index.html", 4)
-                     .value();
-  machine.register_program(program);
-  const kern::Tid main_tid = machine.load(program).value();
-  kern::FdEntry entry;
-  entry.kind = kern::FdEntry::Kind::kListener;
-  entry.net_id = listener;
-  machine.find_task(main_tid)->process->install_fd_at(apps::kListenerFd, entry);
-  auto runtime = core::Lazypoline::create(machine, {});
-  ASSERT_TRUE(runtime
-                  ->install(machine, main_tid,
-                            std::make_shared<interpose::DummyHandler>())
-                  .is_ok());
+  auto instance = scenario::build(
+      spec, machine, std::make_shared<interpose::DummyHandler>());
+  ASSERT_TRUE(instance.is_ok()) << instance.status().to_string();
+  const int listener = instance.value().listeners.front();
 
   kern::SmpConfig config;
   config.cpus = 4;

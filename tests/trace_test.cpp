@@ -9,18 +9,16 @@
 
 #include "apps/minilibc.hpp"
 #include "apps/webserver.hpp"
-#include "core/lazypoline.hpp"
 #include "isa/assemble.hpp"
 #include "kernel/machine.hpp"
 #include "kernel/syscalls.hpp"
-#include "mechanisms/ptrace_tool.hpp"
 #include "mechanisms/sud_tool.hpp"
 #include "replay/recorder.hpp"
+#include "scenario/scenario.hpp"
 #include "trace/export.hpp"
 #include "trace/flight_recorder.hpp"
 #include "trace/metrics_registry.hpp"
 #include "trace/tracer.hpp"
-#include "zpoline/zpoline.hpp"
 
 namespace lzp::trace {
 namespace {
@@ -224,25 +222,6 @@ class CountingHandler final : public interpose::SyscallHandler {
   std::uint64_t count_ = 0;
 };
 
-void install_mechanism(kern::Machine& machine, kern::Tid tid,
-                       const std::shared_ptr<interpose::SyscallHandler>& handler,
-                       const std::string& mechanism) {
-  if (mechanism == "ptrace") {
-    ASSERT_TRUE(
-        mechanisms::PtraceMechanism().install(machine, tid, handler).is_ok());
-  } else if (mechanism == "sud") {
-    ASSERT_TRUE(
-        mechanisms::SudMechanism().install(machine, tid, handler).is_ok());
-  } else if (mechanism == "zpoline") {
-    ASSERT_TRUE(
-        zpoline::ZpolineMechanism().install(machine, tid, handler).is_ok());
-  } else {
-    ASSERT_EQ(mechanism, "lazypoline");
-    auto runtime = core::Lazypoline::create(machine, {});
-    ASSERT_TRUE(runtime->install(machine, tid, handler).is_ok());
-  }
-}
-
 std::uint64_t mechanism_total_for(const MetricsRegistry& metrics,
                                   const std::string& mechanism) {
   using kern::InterposeMechanism;
@@ -272,32 +251,17 @@ std::uint64_t counter_total_for(const MetricsRegistry& metrics,
 void run_traced_webserver(const std::string& mechanism, Tracer& tracer,
                           std::uint64_t* handled) {
   kern::Machine machine;
-  machine.mmap_min_addr = 0;
   tracer.attach(machine);
   auto handler = std::make_shared<CountingHandler>();
-
-  const apps::ServerProfile profile = apps::nginx_profile();
-  constexpr std::uint64_t kFileSize = 1024;
-  ASSERT_TRUE(machine.vfs().put_file_of_size("index.html", kFileSize).is_ok());
-  kern::ClientWorkload client;
-  client.connections = 4;
-  client.total_requests = 60;
-  client.response_bytes = profile.header_bytes + kFileSize;
-  const int listener = machine.net().create_listener(client);
-
-  auto program = apps::make_webserver(machine, profile, "index.html");
-  ASSERT_TRUE(program.is_ok());
-  machine.register_program(program.value());
-  for (int worker = 0; worker < 2; ++worker) {
-    auto tid = machine.load(program.value());
-    ASSERT_TRUE(tid.is_ok());
-    kern::FdEntry entry;
-    entry.kind = kern::FdEntry::Kind::kListener;
-    entry.net_id = listener;
-    machine.find_task(tid.value())->process->install_fd_at(apps::kListenerFd,
-                                                           entry);
-    install_mechanism(machine, tid.value(), handler, mechanism);
-  }
+  auto parsed = scenario::parse_mechanism(mechanism);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  // Two nginx workers serving 60 requests of a 1 KiB file over 4
+  // connections.
+  const scenario::Scenario spec{
+      scenario::Web{apps::nginx_profile(), 2, 1024, 4, 60}, parsed.value()};
+  auto instance = scenario::build(spec, machine, handler);
+  ASSERT_TRUE(instance.is_ok()) << instance.status().to_string();
+  const int listener = instance.value().listeners.front();
 
   const auto stats = machine.run(400'000'000ULL);
   ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
@@ -354,7 +318,9 @@ TEST(TracerTest, ExportSurvivesRingOverflow) {
   machine.register_program(program);
   auto tid = machine.load(program);
   ASSERT_TRUE(tid.is_ok());
-  install_mechanism(machine, tid.value(), handler, "sud");
+  ASSERT_TRUE(scenario::install(scenario::Mechanism::Kind::kSud, machine,
+                                tid.value(), handler)
+                  .is_ok());
   ASSERT_TRUE(machine.run().all_exited);
 
   EXPECT_GT(tracer.ring().dropped(), 0u);
@@ -381,7 +347,9 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   machine.register_program(program);
   auto tid = machine.load(program);
   ASSERT_TRUE(tid.is_ok());
-  install_mechanism(machine, tid.value(), handler, "sud");
+  ASSERT_TRUE(scenario::install(scenario::Mechanism::Kind::kSud, machine,
+                                tid.value(), handler)
+                  .is_ok());
   ASSERT_TRUE(machine.run().all_exited);
 
   EXPECT_GT(handler->count(), 0u);
