@@ -39,6 +39,11 @@ bool read_user_u64(Task& task, std::uint64_t addr, std::uint64_t* value) {
   return true;
 }
 
+// [addr, addr + length) lies below the user VA top (Linux's TASK_SIZE).
+bool user_range_ok(std::uint64_t addr, std::uint64_t length) {
+  return length <= Machine::kStackTop && addr <= Machine::kStackTop - length;
+}
+
 // Resolves a path argument against the VFS (flat namespace; dirfd ignored).
 Result<std::string> path_arg(Task& task, std::uint64_t addr) {
   return read_cstring(task, addr);
@@ -81,6 +86,11 @@ std::uint64_t Machine::sys_dispatch_table(Task& task, std::uint64_t nr,
       const std::uint64_t flags = args[3];
       const bool fixed = (flags & kMapFixed) != 0;
       if (length == 0) return errno_result(kEINVAL);
+      // Beyond the user VA top, as Linux's TASK_SIZE check: no per-page work,
+      // and page_ceil cannot wrap a huge length to zero pages.
+      if (!user_range_ok(fixed ? addr : 0, length)) {
+        return errno_result(kENOMEM);
+      }
       if (addr < mmap_min_addr) {
         // vm.mmap_min_addr: low mappings need privilege. Fixed low requests
         // fail (this is what breaks zpoline on default-configured systems);
@@ -95,6 +105,7 @@ std::uint64_t Machine::sys_dispatch_table(Task& task, std::uint64_t nr,
       return mapped.value();
     }
     case kSysMprotect: {
+      if (!user_range_ok(args[0], args[1])) return errno_result(kENOMEM);
       const std::uint64_t pages = mem::page_ceil(args[1]) / mem::kPageSize;
       charge(task, costs_.dispatch_base + pages * costs_.mmap_page);
       auto status = task.mem->protect(args[0], args[1],
@@ -102,6 +113,7 @@ std::uint64_t Machine::sys_dispatch_table(Task& task, std::uint64_t nr,
       return status.is_ok() ? 0 : errno_result(kENOMEM);
     }
     case kSysMunmap: {
+      if (!user_range_ok(args[0], args[1])) return errno_result(kEINVAL);
       const std::uint64_t pages = mem::page_ceil(args[1]) / mem::kPageSize;
       charge(task, costs_.dispatch_base + pages * costs_.mmap_page);
       auto status = task.mem->unmap(args[0], args[1]);

@@ -77,11 +77,12 @@ Result<std::uint64_t> AddressSpace::map(std::uint64_t addr, std::uint64_t length
   std::uint64_t base = page_floor(addr);
   const std::uint64_t num_pages = page_ceil(length) / kPageSize;
 
+  // One lookup: the first mapped page at or above the candidate must lie
+  // past the requested range.
   auto range_free = [&](std::uint64_t candidate) {
-    for (std::uint64_t i = 0; i < num_pages; ++i) {
-      if (pages_.count(candidate + i * kPageSize) != 0) return false;
-    }
-    return true;
+    auto it = pages_.lower_bound(candidate);
+    return it == pages_.end() ||
+           it->first - candidate >= num_pages * kPageSize;
   };
 
   if (fixed) {
@@ -121,16 +122,17 @@ Status AddressSpace::unmap(std::uint64_t addr, std::uint64_t length) {
   }
   const std::uint64_t end = page_ceil(addr + length);
   bump_layout_gen();
-  for (std::uint64_t page = addr; page < end; page += kPageSize) {
-    auto it = pages_.find(page);
-    if (it == pages_.end()) continue;  // munmap on unmapped succeeds, like Linux
+  // Only mapped pages are visited: munmap on unmapped pages succeeds, like
+  // Linux, and costs nothing however large the range.
+  for (auto it = pages_.lower_bound(addr);
+       it != pages_.end() && it->first < end;) {
     if ((it->second.prot & kProtExec) != 0) {
       // Retire the exec page's generation so a later mapping at the same
       // address can never satisfy a stale cached decode.
       (void)bump_code_gen();
       ++stats_.exec_invalidations;
     }
-    pages_.erase(it);
+    it = pages_.erase(it);
   }
   return Status::ok();
 }
@@ -142,15 +144,23 @@ Status AddressSpace::protect(std::uint64_t addr, std::uint64_t length,
     return make_error(StatusCode::kInvalidArgument, "mprotect: unaligned address");
   }
   const std::uint64_t end = page_ceil(addr + length);
-  // Linux fails mprotect if any page in the range is unmapped; check first.
-  for (std::uint64_t page = addr; page < end; page += kPageSize) {
-    if (pages_.count(page) == 0) {
-      return make_error(StatusCode::kNotFound,
-                        "mprotect: unmapped page " + hex_u64(page));
-    }
+  if (end < addr) {
+    return make_error(StatusCode::kInvalidArgument, "mprotect: range wraps");
   }
-  for (std::uint64_t page = addr; page < end; page += kPageSize) {
-    Page& entry = pages_[page];
+  // Linux fails mprotect if any page in the range is unmapped; check first,
+  // walking only the mapped pages.
+  const auto first = pages_.lower_bound(addr);
+  const auto last = pages_.lower_bound(end);
+  std::uint64_t page = addr;
+  for (auto it = first; it != last && it->first == page; ++it) {
+    page += kPageSize;
+  }
+  if (page != end) {
+    return make_error(StatusCode::kNotFound,
+                      "mprotect: unmapped page " + hex_u64(page));
+  }
+  for (auto it = first; it != last; ++it) {
+    Page& entry = it->second;
     // Any protection change that involves executability — in either
     // direction — retires the page's code generation. This is what makes
     // the rewrite idiom safe for decode caches: flip RX->RW (bump), patch

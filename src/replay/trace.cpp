@@ -75,6 +75,7 @@ class Reader {
     pos_ += n;
     return true;
   }
+  [[nodiscard]] std::size_t remaining() const { return in_.size() - pos_; }
   bool skip(std::size_t n) {
     if (pos_ + n > in_.size()) return false;
     pos_ += n;
@@ -144,6 +145,10 @@ bool read_event(Reader& r, EventKind kind, Event* out) {
         return false;
       }
       sc.tid = static_cast<kern::Tid>(tid);
+      // An untrusted count: each patch takes at least its address and
+      // length (12 bytes), so a count the rest cannot hold is corrupt.
+      constexpr std::size_t kMinPatchBytes = 8 + 4;
+      if (n_patches > r.remaining() / kMinPatchBytes) return false;
       sc.patches.reserve(n_patches);
       for (std::uint32_t i = 0; i < n_patches; ++i) {
         MemPatch patch;
@@ -254,6 +259,14 @@ Result<Trace> Trace::deserialize(const std::vector<std::uint8_t>& bytes) {
   if (!r.u64(&trace.header.rng_seed) || !r.str(&trace.header.mechanism) ||
       !r.str(&trace.header.workload) || !r.u64(&count)) {
     return Status{StatusCode::kInvalidArgument, "trace: truncated header"};
+  }
+  // An untrusted count: each event frame takes at least its kind and length
+  // (5 bytes), so a count the rest of the file cannot hold is corrupt.
+  constexpr std::size_t kMinFrameBytes = 1 + 4;
+  if (count > r.remaining() / kMinFrameBytes) {
+    return Status{StatusCode::kInvalidArgument,
+                  "trace: event count " + std::to_string(count) +
+                      " exceeds the file"};
   }
   trace.events.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {

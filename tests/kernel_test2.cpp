@@ -1,5 +1,6 @@
 // Second kernel suite: syscall surface breadth, SYSENTER, vfork, signal
-// machinery details, Figure-1 interception ordering, and accounting.
+// machinery details, Figure-1 interception ordering, accounting, and the
+// bounds on guest mmap/munmap/mprotect lengths.
 #include <gtest/gtest.h>
 
 #include "bpf/seccomp_filter.hpp"
@@ -446,6 +447,68 @@ TEST(Machine2Test, KillDeliversToTargetProcess) {
   EXPECT_TRUE(stats.all_exited);
   EXPECT_EQ(machine.find_task(killer)->exit_code, 0);
   EXPECT_EQ(machine.find_task(victim)->exit_code, 128 + kSigterm);
+}
+
+// --- guest memory-map lengths ------------------------------------------------
+//
+// A guest length must never cost host work per page it names: each of these
+// calls either hung the host (one probe per requested page) or wrapped to
+// zero pages and "succeeded". ctest's TIMEOUT turns a regression into a
+// failure rather than a hung suite.
+
+constexpr std::uint64_t kMapPrivateAnon = 0x22;
+constexpr std::uint64_t kProtRw = 3;
+
+// Runs syscall `nr` with the given arguments and exits with its negated
+// result, so a failing call's exit code is its errno.
+int errno_of(std::uint64_t nr, std::uint64_t a0, std::uint64_t a1,
+             std::uint64_t a2, std::uint64_t a3 = 0) {
+  Machine machine;
+  Assembler a;
+  auto entry = a.new_label();
+  a.bind(entry);
+  a.mov(Gpr::rdi, a0);
+  a.mov(Gpr::rsi, a1);
+  a.mov(Gpr::rdx, a2);
+  a.mov(Gpr::r10, a3);
+  apps::emit_syscall(a, nr);
+  a.mov(Gpr::rbx, 0);
+  a.sub(Gpr::rbx, Gpr::rax);
+  a.mov(Gpr::rdi, Gpr::rbx);
+  apps::emit_syscall(a, kSysExitGroup);
+  return load_and_run(machine, isa::make_program("maplimits", a, entry).value());
+}
+
+TEST(MapLimitsTest, HugeMmapFailsFastWithEnomem) {
+  EXPECT_EQ(errno_of(kSysMmap, 0, 1ULL << 62, kProtRw, kMapPrivateAnon),
+            kENOMEM);
+  // A fixed mapping must end at or below the user VA top.
+  EXPECT_EQ(errno_of(kSysMmap, Machine::kStackTop, 2 * mem::kPageSize,
+                     kProtRw, kMapPrivateAnon | 0x10),
+            kENOMEM);
+}
+
+TEST(MapLimitsTest, WrappingMmapLengthIsRejected) {
+  // page_ceil of this length wraps to zero pages.
+  EXPECT_EQ(errno_of(kSysMmap, 0, ~std::uint64_t{0} - 100, kProtRw,
+                     kMapPrivateAnon),
+            kENOMEM);
+}
+
+TEST(MapLimitsTest, HugeMunmapAndMprotectAreRejected) {
+  EXPECT_EQ(errno_of(kSysMunmap, Machine::kDataRegionBase, 1ULL << 62, 0),
+            kEINVAL);
+  EXPECT_EQ(errno_of(kSysMprotect, Machine::kDataRegionBase, 1ULL << 62,
+                     kProtRw),
+            kENOMEM);
+}
+
+TEST(MapLimitsTest, LargeMunmapVisitsOnlyMappedPages) {
+  // ~2^35 pages up to just below the stack, all but the data region
+  // unmapped: succeeds, like Linux, without visiting each page.
+  EXPECT_EQ(errno_of(kSysMunmap, Machine::kDataRegionBase,
+                     (1ULL << 47) - (1ULL << 24), 0),
+            0);
 }
 
 }  // namespace
