@@ -184,6 +184,10 @@ struct CoreutilCase {
   bool affected_ubuntu;
 };
 
+// gtest puts the printed parameter into each test's listed name; without this
+// it prints the raw bytes, pointer included, so the names changed every build.
+void PrintTo(const CoreutilCase& c, std::ostream* os) { *os << c.name; }
+
 class TableThreeTest : public ::testing::TestWithParam<CoreutilCase> {};
 
 TEST_P(TableThreeTest, UbuntuMatchesPaperMatrix) {
