@@ -61,6 +61,40 @@ double median(std::vector<double> samples) noexcept {
   return (lo + hi) / 2.0;
 }
 
+PairedResult paired_ratios(const std::vector<PairedArm>& arms) {
+  PairedResult out;
+  const std::size_t n = arms.size();
+  if (n == 0) return out;
+  // Runs round `round` and returns each arm's seconds, the A/A run last.
+  const auto run_round = [&](std::size_t round) {
+    std::vector<double> seconds(n + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t arm = (round + i) % n;
+      seconds[arm] = arms[arm].run();
+    }
+    seconds[n] = arms[0].run();
+    return seconds;
+  };
+  (void)run_round(0);  // warm-up
+  std::vector<std::vector<double>> seconds(n + 1);
+  std::vector<std::vector<double>> ratios(n + 1);
+  double spent = 0.0;
+  while (out.rounds < kPairedMinRounds || spent < kPairedBudgetSeconds) {
+    const std::vector<double> round = run_round(out.rounds++);
+    for (std::size_t arm = 0; arm <= n; ++arm) {
+      seconds[arm].push_back(round[arm]);
+      ratios[arm].push_back(round[arm] / round[0]);
+      spent += round[arm];
+    }
+  }
+  for (std::size_t arm = 0; arm < n; ++arm) {
+    out.arms.push_back({arms[arm].name, median(seconds[arm]),
+                        median(ratios[arm])});
+  }
+  out.aa_ratio = median(ratios[n]);
+  return out;
+}
+
 void RunningStats::add(double sample) noexcept {
   ++count_;
   const double delta = sample - mean_;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "base/log.hpp"
 #include "base/rng.hpp"
@@ -156,6 +159,118 @@ TEST(StatsTest, StddevPctEdgeCases) {
 TEST(StatsTest, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);
+}
+
+// paired_ratios drives arms it knows nothing about; these scripted arms
+// return script(arm, call) on each arm's call-th call (the warm-up round's
+// calls included) and log the order in which the arms ran.
+struct ScriptedArms {
+  std::function<double(std::size_t arm, std::size_t call)> script;
+  std::vector<std::size_t> calls;
+  std::vector<std::size_t> order;
+
+  std::vector<PairedArm> make(std::size_t n) {
+    calls.assign(n, 0);
+    std::vector<PairedArm> arms;
+    for (std::size_t arm = 0; arm < n; ++arm) {
+      arms.push_back({"arm" + std::to_string(arm), [this, arm] {
+                        order.push_back(arm);
+                        return script(arm, calls[arm]++);
+                      }});
+    }
+    return arms;
+  }
+};
+
+// Far above the budget, and a power of two, so every ratio below is exact.
+constexpr double kLong = 1024.0;
+
+TEST(StatsTest, PairedRatiosDiscardsWarmupRound) {
+  ASSERT_GE(kLong, kPairedBudgetSeconds);
+  // Each round of three calls returns 3/64 s, so the budget alone decides
+  // when to stop; the warm-up round's huge durations must not count toward
+  // it, nor skew any median.
+  constexpr double kShort = 1.0 / 64;
+  const auto budget_rounds =
+      static_cast<std::size_t>(std::ceil(kPairedBudgetSeconds / (3 * kShort)));
+  ASSERT_GT(budget_rounds, kPairedMinRounds);
+  ScriptedArms scripted;
+  scripted.script = [](std::size_t arm, std::size_t call) {
+    const bool warmup = call < (arm == 0 ? 2u : 1u);
+    return warmup ? kLong : kShort;
+  };
+  const PairedResult result = paired_ratios(scripted.make(2));
+  EXPECT_EQ(result.rounds, budget_rounds);
+  EXPECT_EQ(scripted.order.size(), (budget_rounds + 1) * 3);
+  ASSERT_EQ(result.arms.size(), 2u);
+  EXPECT_EQ(result.arms[0].name, "arm0");
+  EXPECT_EQ(result.arms[1].name, "arm1");
+  EXPECT_DOUBLE_EQ(result.arms[0].median_seconds, kShort);
+  EXPECT_DOUBLE_EQ(result.arms[1].median_seconds, kShort);
+  EXPECT_DOUBLE_EQ(result.arms[1].median_ratio, 1.0);
+  EXPECT_DOUBLE_EQ(result.aa_ratio, 1.0);
+}
+
+TEST(StatsTest, PairedRatiosRotatesArmOrder) {
+  ScriptedArms scripted;
+  scripted.script = [](std::size_t, std::size_t) { return kLong; };
+  (void)paired_ratios(scripted.make(3));
+  // Warm-up, then rounds 0, 1 and 2: each starts one arm later than the
+  // round before, and ends with the baseline's A/A run.
+  const std::vector<std::size_t> expected = {0, 1, 2, 0,  0, 1, 2, 0,
+                                             1, 2, 0, 0,  2, 0, 1, 0};
+  ASSERT_GE(scripted.order.size(), expected.size());
+  EXPECT_EQ(std::vector<std::size_t>(scripted.order.begin(),
+                                     scripted.order.begin() + 16),
+            expected);
+}
+
+TEST(StatsTest, PairedRatiosStopsAtBudgetAndMinimumRounds) {
+  ScriptedArms scripted;
+  // One round overshoots the budget: the minimum round count decides.
+  scripted.script = [](std::size_t, std::size_t) { return kLong; };
+  EXPECT_EQ(paired_ratios(scripted.make(2)).rounds, kPairedMinRounds);
+  // Rounds of 3/256 s: the budget decides.
+  constexpr double kShort = 1.0 / 256;
+  const auto budget_rounds =
+      static_cast<std::size_t>(std::ceil(kPairedBudgetSeconds / (3 * kShort)));
+  ASSERT_GT(budget_rounds, kPairedMinRounds);
+  scripted.script = [](std::size_t, std::size_t) { return kShort; };
+  EXPECT_EQ(paired_ratios(scripted.make(2)).rounds, budget_rounds);
+  EXPECT_TRUE(paired_ratios({}).arms.empty());
+}
+
+TEST(StatsTest, PairedRatiosMediansAreExact) {
+  ScriptedArms scripted;
+  // The host is twice as slow in odd rounds; the paired ratios cancel that.
+  // Arm 1 costs 1.25x but reads 8x in rounds 0-2, arm 2 costs 0.75x, and the
+  // A/A run reads 1.125x but 64x in rounds 3 and 4.
+  scripted.script = [](std::size_t arm, std::size_t call) {
+    // Warm-up is call 0 (the baseline's calls 0 and 1); after it, arm 0 runs
+    // twice per round and every other arm once.
+    const std::size_t warmup_calls = arm == 0 ? 2 : 1;
+    if (call < warmup_calls) return kLong;
+    const std::size_t round = (call - warmup_calls) / (arm == 0 ? 2 : 1);
+    const double host = kLong * (round % 2 == 0 ? 1.0 : 2.0);
+    switch (arm) {
+      case 0:
+        if ((call - warmup_calls) % 2 == 0) return host;
+        return host * (round == 3 || round == 4 ? 64.0 : 1.125);
+      case 1:
+        return host * (round < 3 ? 8.0 : 1.25);
+      default:
+        return host * 0.75;
+    }
+  };
+  const PairedResult result = paired_ratios(scripted.make(3));
+  ASSERT_EQ(result.rounds, kPairedMinRounds);
+  ASSERT_EQ(kPairedMinRounds % 2, 0u);  // half the rounds run at each speed
+  EXPECT_DOUBLE_EQ(result.arms[0].median_ratio, 1.0);
+  EXPECT_DOUBLE_EQ(result.arms[0].median_seconds, 1.5 * kLong);
+  EXPECT_DOUBLE_EQ(result.arms[1].median_ratio, 1.25);
+  EXPECT_DOUBLE_EQ(result.arms[2].median_ratio, 0.75);
+  EXPECT_DOUBLE_EQ(result.arms[2].median_seconds, 0.75 * 1.5 * kLong);
+  EXPECT_DOUBLE_EQ(result.aa_ratio, 1.125);
 }
 
 TEST(StatsTest, MinMax) {
