@@ -14,23 +14,29 @@
 //       webserver under the same four mechanisms;
 //   (2) block throughput — the superblock engine runs the straight-line
 //       workload at least kBlockGate x faster than reference in host wall
-//       time (min-of-N to shed scheduler noise);
+//       time;
 //   (3) trace throughput — the trace engine runs the syscall-intensive
 //       webserver at least kTraceGate x faster than the block engine under
 //       zpoline and lazypoline, where each interposed syscall walks the
 //       VA-0 nop sled that the trace engine executes as an O(1) superop.
+// Both host-time gates read the median paired ratio of lzp::paired_ratios,
+// which interleaves the two engines they compare (its A/A control is printed
+// beside them); every other run is single and reported only. Only the guest
+// run is timed.
 // A fourth regression gate holds the SUD selector/stub page split: SUD must
 // not invalidate cached blocks any more than zpoline does (the selector byte
 // used to share the executable stub page, so every flip was an SMC event).
 // Results land in BENCH_block_exec.json for scripts/check.sh.
-#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/webserver.hpp"
+#include "base/stats.hpp"
 #include "base/strings.hpp"
 #include "bench_util.hpp"
 #include "metrics/report.hpp"
@@ -43,8 +49,6 @@ constexpr int kUnroll = 24;  // arithmetic ops per loop body → long blocks
 constexpr std::uint64_t kMicroIters = 2'000;
 constexpr std::uint64_t kWebRequests = 2'400;
 constexpr std::uint64_t kWebFileSize = 4'096;
-constexpr int kReps = 7;
-constexpr int kWebReps = 3;
 constexpr double kBlockGate = 1.5;
 constexpr double kTraceGate = 2.0;
 
@@ -60,9 +64,10 @@ struct EngineCfg {
   bool block;
   bool trace;
 };
-constexpr EngineCfg kReference{"reference", false, false};
-constexpr EngineCfg kBlock{"block", true, false};
-constexpr EngineCfg kTrace{"trace", true, true};
+constexpr EngineCfg kEngines[] = {{"reference", false, false},
+                                  {"block", true, false},
+                                  {"trace", true, true}};
+constexpr std::size_t kReference = 0, kBlock = 1, kTrace = 2;
 
 // The throughput workload: a hot loop whose body is a long straight-line run
 // of arithmetic, so nearly every retired instruction is eligible for batched
@@ -87,7 +92,7 @@ isa::Program make_straight_line(std::uint64_t iterations) {
 }
 
 struct RunResult {
-  double wall_ms = 1e18;  // min over reps
+  double seconds = 0.0;  // the paired median when the engine was paired
   std::uint64_t cycles = 0;
   std::uint64_t insns = 0;
   std::uint64_t steps = 0;
@@ -97,23 +102,41 @@ struct RunResult {
   cpu::TraceCacheStats tcache;
 };
 
-void configure(kern::Machine& machine, const EngineCfg& cfg) {
+// A workload runs `spec` when it has one, else `program` alone; the exit
+// code reported is its first task's.
+struct Workload {
+  std::string name;
+  std::optional<scenario::Scenario> spec;
+  const isa::Program* program = nullptr;
+};
+
+RunResult run_once(const Workload& workload, const EngineCfg& cfg) {
+  kern::Machine machine;
   machine.mmap_min_addr = 0;
   machine.block_exec_enabled = cfg.block;
   machine.trace_exec_enabled = cfg.trace;
-}
-
-// Folds one repetition (timed at `start`..`end`) into `result`; `tid` is the
-// task whose exit code is reported.
-void record(RunResult& result, kern::Machine& machine, kern::Tid tid,
-            std::chrono::steady_clock::time_point start,
-            std::chrono::steady_clock::time_point end, int rep) {
-  const double ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  result.wall_ms = std::min(result.wall_ms, ms);
-  if (rep > 0 && result.cycles != machine.total_cycles()) {
-    bench::die("simulated cycles varied between repetitions");
+  scenario::Instance instance;
+  kern::Tid tid = 0;
+  if (workload.spec) {
+    instance = bench::unwrap(
+        scenario::build(*workload.spec, machine,
+                        std::make_shared<interpose::DummyHandler>()),
+        "build");
+    tid = instance.workers.front();
+  } else {
+    machine.register_program(*workload.program);
+    tid = bench::unwrap(machine.load(*workload.program), "load");
   }
+  const auto start = std::chrono::steady_clock::now();
+  if (workload.spec) {
+    bench::unwrap(scenario::run(*workload.spec, machine, instance), "run");
+  } else if (!machine.run().all_exited) {
+    bench::die("machine did not quiesce: " + machine.last_fatal());
+  }
+  RunResult result;
+  result.seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   result.cycles = machine.total_cycles();
   result.insns = machine.total_insns();
   result.steps = machine.total_steps();
@@ -121,42 +144,103 @@ void record(RunResult& result, kern::Machine& machine, kern::Tid tid,
   result.bcache = machine.block_cache_totals();
   result.dtlb = machine.data_tlb_totals();
   result.tcache = machine.trace_cache_totals();
+  return result;
 }
 
-RunResult run_program(const isa::Program& program, const EngineCfg& cfg) {
-  RunResult result;
-  for (int rep = 0; rep < kReps; ++rep) {
-    kern::Machine machine;
-    configure(machine, cfg);
-    machine.register_program(program);
-    const kern::Tid tid = bench::unwrap(machine.load(program), "load");
-    const auto start = std::chrono::steady_clock::now();
-    const auto stats = machine.run();
-    const auto end = std::chrono::steady_clock::now();
-    if (!stats.all_exited) {
-      bench::die("machine did not quiesce: " + machine.last_fatal());
+bool same_simulation(const RunResult& a, const RunResult& b) {
+  return a.cycles == b.cycles && a.insns == b.insns && a.steps == b.steps &&
+         a.exit_code == b.exit_code;
+}
+
+struct Measured {
+  std::array<RunResult, 3> runs;  // indexed like kEngines
+  PairedResult timing;            // of the paired engines, in their order
+};
+
+// Runs `workload` under every engine. The engines in `paired` (baseline
+// first) are timed against each other by paired_ratios; the others run once.
+// Dies unless every run agrees on every simulated observable.
+Measured measure(const Workload& workload,
+                 const std::vector<std::size_t>& paired = {}) {
+  Measured out;
+  std::array<bool, 3> ran{};
+  std::vector<PairedArm> arms;
+  for (const std::size_t engine : paired) {
+    arms.push_back({kEngines[engine].name, [&, engine] {
+                      const RunResult run = run_once(workload, kEngines[engine]);
+                      if (ran[engine] &&
+                          !same_simulation(run, out.runs[engine])) {
+                        bench::die(workload.name +
+                                   ": simulated cycles varied between "
+                                   "repetitions");
+                      }
+                      out.runs[engine] = run;
+                      ran[engine] = true;
+                      return run.seconds;
+                    }});
+  }
+  out.timing = paired_ratios(arms);
+  for (std::size_t i = 0; i < paired.size(); ++i) {
+    out.runs[paired[i]].seconds = out.timing.arms[i].median_seconds;
+  }
+  for (std::size_t engine = 0; engine < out.runs.size(); ++engine) {
+    if (!ran[engine]) out.runs[engine] = run_once(workload, kEngines[engine]);
+  }
+  const auto describe = [](const RunResult& r) {
+    return "cycles=" + std::to_string(r.cycles) +
+           " insns=" + std::to_string(r.insns) +
+           " steps=" + std::to_string(r.steps) +
+           " exit=" + std::to_string(r.exit_code);
+  };
+  for (std::size_t engine = 0; engine < out.runs.size(); ++engine) {
+    if (!same_simulation(out.runs[kReference], out.runs[engine])) {
+      bench::die(workload.name + " diverged between engines: " +
+                 "reference " + describe(out.runs[kReference]) + ", " +
+                 kEngines[engine].name + " " + describe(out.runs[engine]));
     }
-    record(result, machine, tid, start, end, rep);
   }
-  return result;
+  return out;
 }
 
-RunResult run_scenario(const scenario::Scenario& spec, const EngineCfg& cfg,
-                       int reps) {
-  RunResult result;
-  for (int rep = 0; rep < reps; ++rep) {
-    kern::Machine machine;
-    configure(machine, cfg);
-    const scenario::Instance instance = bench::unwrap(
-        scenario::build(spec, machine,
-                        std::make_shared<interpose::DummyHandler>()),
-        "build");
-    const auto start = std::chrono::steady_clock::now();
-    bench::unwrap(scenario::run(spec, machine, instance), "run");
-    const auto end = std::chrono::steady_clock::now();
-    record(result, machine, instance.workers.front(), start, end, rep);
+// Reports `measured`'s three engines as table and JSON rows, each with its
+// host speedup over reference.
+void report(const std::string& workload, const Measured& measured,
+            metrics::Table& table, std::vector<std::string>& results) {
+  const double ref_seconds = measured.runs[kReference].seconds;
+  for (std::size_t engine = 0; engine < measured.runs.size(); ++engine) {
+    const RunResult& r = measured.runs[engine];
+    const double speedup = ref_seconds / r.seconds;
+    table.add_row({workload, kEngines[engine].name,
+                   format_double(r.seconds * 1e3, 3), metrics::ratio(speedup),
+                   std::to_string(r.cycles), std::to_string(r.insns),
+                   std::to_string(r.tcache.chain_follows),
+                   std::to_string(r.tcache.fused_fastpaths)});
+    results.push_back(metrics::JsonObject()
+                          .add("workload", workload)
+                          .add("config", kEngines[engine].name)
+                          .add("wall_ms", r.seconds * 1e3)
+                          .add("speedup_x", speedup)
+                          .add("sim_cycles", r.cycles)
+                          .add("insns_retired", r.insns)
+                          .add("machine_steps", r.steps)
+                          .add("bcache_hits", r.bcache.hits)
+                          .add("bcache_misses", r.bcache.misses)
+                          .add("bcache_blocks_built", r.bcache.blocks_built)
+                          .add("bcache_invalidations", r.bcache.invalidations)
+                          .add("dtlb_read_hits", r.dtlb.read_hits)
+                          .add("dtlb_write_hits", r.dtlb.write_hits)
+                          .add("tcache_hits", r.tcache.hits)
+                          .add("tcache_traces_built", r.tcache.traces_built)
+                          .add("tcache_chain_follows", r.tcache.chain_follows)
+                          .add("tcache_side_exits", r.tcache.side_exits)
+                          .add("tcache_completions", r.tcache.completions)
+                          .add("tcache_resumes", r.tcache.resumes)
+                          .add("tcache_demotions", r.tcache.demotions)
+                          .add("tcache_invalidations", r.tcache.invalidations)
+                          .add("tcache_fused_fastpaths",
+                               r.tcache.fused_fastpaths)
+                          .render());
   }
-  return result;
 }
 
 // The Figure-5 single-worker webserver: 36 keepalive connections,
@@ -168,97 +252,40 @@ scenario::Scenario web_scenario(scenario::Mechanism::Kind kind) {
           kind};
 }
 
-// Dies unless every configuration agrees on every simulated observable.
-void require_identical(const std::string& workload,
-                       const std::vector<const RunResult*>& runs) {
-  const RunResult& ref = *runs.front();
-  for (const RunResult* run : runs) {
-    if (ref.cycles != run->cycles || ref.insns != run->insns ||
-        ref.steps != run->steps || ref.exit_code != run->exit_code) {
-      std::fprintf(stderr,
-                   "FAIL: %s diverged between engines:\n"
-                   "  reference: cycles=%llu insns=%llu steps=%llu exit=%d\n"
-                   "  other:     cycles=%llu insns=%llu steps=%llu exit=%d\n",
-                   workload.c_str(),
-                   static_cast<unsigned long long>(ref.cycles),
-                   static_cast<unsigned long long>(ref.insns),
-                   static_cast<unsigned long long>(ref.steps), ref.exit_code,
-                   static_cast<unsigned long long>(run->cycles),
-                   static_cast<unsigned long long>(run->insns),
-                   static_cast<unsigned long long>(run->steps),
-                   run->exit_code);
-      std::exit(1);
-    }
-  }
-}
-
-std::string result_json(const std::string& workload, const std::string& config,
-                        const RunResult& r, double speedup) {
-  return metrics::JsonObject()
-      .add("workload", workload)
-      .add("config", config)
-      .add("wall_ms", r.wall_ms)
-      .add("speedup_x", speedup)
-      .add("sim_cycles", r.cycles)
-      .add("insns_retired", r.insns)
-      .add("machine_steps", r.steps)
-      .add("bcache_hits", r.bcache.hits)
-      .add("bcache_misses", r.bcache.misses)
-      .add("bcache_blocks_built", r.bcache.blocks_built)
-      .add("bcache_invalidations", r.bcache.invalidations)
-      .add("dtlb_read_hits", r.dtlb.read_hits)
-      .add("dtlb_write_hits", r.dtlb.write_hits)
-      .add("tcache_hits", r.tcache.hits)
-      .add("tcache_traces_built", r.tcache.traces_built)
-      .add("tcache_chain_follows", r.tcache.chain_follows)
-      .add("tcache_side_exits", r.tcache.side_exits)
-      .add("tcache_completions", r.tcache.completions)
-      .add("tcache_resumes", r.tcache.resumes)
-      .add("tcache_demotions", r.tcache.demotions)
-      .add("tcache_invalidations", r.tcache.invalidations)
-      .add("tcache_fused_fastpaths", r.tcache.fused_fastpaths)
-      .render();
-}
-
-void add_row(metrics::Table& table, const std::string& workload,
-             const EngineCfg& cfg, const RunResult& r, double speedup) {
-  table.add_row({workload, cfg.name, format_double(r.wall_ms, 3),
-                 metrics::ratio(speedup), std::to_string(r.cycles),
-                 std::to_string(r.insns),
-                 std::to_string(r.tcache.chain_follows),
-                 std::to_string(r.tcache.fused_fastpaths)});
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bench::CliArgs cli = bench::parse_cli(argc, argv);
   const std::string json_path = cli.positional_or(0, "BENCH_block_exec.json");
   std::vector<std::string> results;
-
-  metrics::Table table({"workload", "config", "wall ms (min)", "speedup",
-                        "sim cycles", "insns", "chains", "fused"});
+  metrics::Table table({"workload", "config", "ms", "speedup", "sim cycles",
+                        "insns", "chains", "fused"});
+  bool ok = true;
+  const auto expect = [&ok](bool holds, const std::string& message) {
+    if (holds) return;
+    std::fprintf(stderr, "FAIL: %s\n", message.c_str());
+    ok = false;
+  };
+  // Prints a paired gate's reading beside its A/A control.
+  const auto print_paired = [](const char* what, const Measured& m) {
+    std::printf("%s: %.3fx (paired median of %zu rounds, A/A %.3fx)\n", what,
+                m.timing.arms[1].median_ratio, m.timing.rounds,
+                m.timing.aa_ratio);
+  };
 
   // --- straight-line throughput + block gate --------------------------------
+  // Paired with block as the baseline, reference's ratio is the speedup.
   const auto program = make_straight_line(kStraightLineIters);
-  const RunResult sl_ref = run_program(program, kReference);
-  const RunResult sl_blk = run_program(program, kBlock);
-  const RunResult sl_trc = run_program(program, kTrace);
-  require_identical("straight-line", {&sl_ref, &sl_blk, &sl_trc});
-  if (sl_blk.bcache.hits == 0) {
-    std::fprintf(stderr, "FAIL: engine-on run recorded no block-cache hits\n");
-    return 1;
-  }
-  const double block_speedup = sl_ref.wall_ms / sl_blk.wall_ms;
-  add_row(table, "straight-line", kReference, sl_ref, 1.0);
-  add_row(table, "straight-line", kBlock, sl_blk, block_speedup);
-  add_row(table, "straight-line", kTrace, sl_trc,
-          sl_ref.wall_ms / sl_trc.wall_ms);
-  results.push_back(result_json("straight-line", "reference", sl_ref, 1.0));
-  results.push_back(
-      result_json("straight-line", "block", sl_blk, block_speedup));
-  results.push_back(result_json("straight-line", "trace", sl_trc,
-                                sl_ref.wall_ms / sl_trc.wall_ms));
+  const Measured straight =
+      measure({"straight-line", std::nullopt, &program}, {kBlock, kReference});
+  report("straight-line", straight, table, results);
+  print_paired("straight-line block over reference", straight);
+  const double block_speedup = straight.timing.arms[1].median_ratio;
+  expect(block_speedup >= kBlockGate,
+         "superblock engine speedup " + format_double(block_speedup, 3) +
+             "x < " + format_double(kBlockGate, 2) + "x gate");
+  expect(straight.runs[kBlock].bcache.hits > 0,
+         "engine-on run recorded no block-cache hits");
 
   // --- per-mechanism micro-loop determinism ---------------------------------
   // The interposed paths bounce through host code and signals, exercising the
@@ -277,24 +304,11 @@ int main(int argc, char** argv) {
   for (const auto& mechanism : mechanisms) {
     const scenario::Scenario micro{scenario::Loop{kMicroIters},
                                    mechanism.mechanism};
-    const RunResult m_ref = run_scenario(micro, kReference, kReps);
-    const RunResult m_blk = run_scenario(micro, kBlock, kReps);
-    const RunResult m_trc = run_scenario(micro, kTrace, kReps);
-    require_identical(mechanism.name, {&m_ref, &m_blk, &m_trc});
-    add_row(table, mechanism.name, kBlock, m_blk,
-            m_ref.wall_ms / m_blk.wall_ms);
-    add_row(table, mechanism.name, kTrace, m_trc,
-            m_ref.wall_ms / m_trc.wall_ms);
-    results.push_back(result_json(mechanism.name, "reference", m_ref, 1.0));
-    results.push_back(result_json(mechanism.name, "block", m_blk,
-                                  m_ref.wall_ms / m_blk.wall_ms));
-    results.push_back(result_json(mechanism.name, "trace", m_trc,
-                                  m_ref.wall_ms / m_trc.wall_ms));
+    report(mechanism.name, measure({mechanism.name, micro}), table, results);
   }
 
   // --- webserver macro workload + trace gate --------------------------------
-  metrics::Table wtable({"workload", "config", "wall ms (min)", "speedup",
-                         "sim cycles", "insns", "chains", "fused"});
+  // Paired with trace as the baseline, block's ratio is the trace speedup.
   const struct {
     const char* name;
     Kind mech;
@@ -302,87 +316,60 @@ int main(int argc, char** argv) {
                    {"web-sud", Kind::kSud},
                    {"web-zpoline", Kind::kZpoline},
                    {"web-lazypoline", Kind::kLazypoline}};
-  double trace_gate_min = 1e18;
   std::uint64_t sud_invalidations = 0;
   std::uint64_t zpoline_invalidations = 0;
   std::uint64_t interposed_fused = 0;
   for (const auto& wm : web_mechs) {
-    const scenario::Scenario web = web_scenario(wm.mech);
-    const RunResult w_ref = run_scenario(web, kReference, kWebReps);
-    const RunResult w_blk = run_scenario(web, kBlock, kWebReps);
-    const RunResult w_trc = run_scenario(web, kTrace, kWebReps);
-    require_identical(wm.name, {&w_ref, &w_blk, &w_trc});
-    const double vs_ref = w_ref.wall_ms / w_trc.wall_ms;
-    const double vs_block = w_blk.wall_ms / w_trc.wall_ms;
-    add_row(wtable, wm.name, kReference, w_ref, 1.0);
-    add_row(wtable, wm.name, kBlock, w_blk, w_ref.wall_ms / w_blk.wall_ms);
-    add_row(wtable, wm.name, kTrace, w_trc, vs_ref);
-    results.push_back(result_json(wm.name, "reference", w_ref, 1.0));
-    results.push_back(result_json(wm.name, "block", w_blk,
-                                  w_ref.wall_ms / w_blk.wall_ms));
-    results.push_back(result_json(wm.name, "trace", w_trc, vs_ref));
-    if (wm.mech == Kind::kZpoline || wm.mech == Kind::kLazypoline) {
-      trace_gate_min = std::min(trace_gate_min, vs_block);
-      interposed_fused += w_trc.tcache.fused_fastpaths;
+    const bool gated = kTraceEngineBuilt && (wm.mech == Kind::kZpoline ||
+                                             wm.mech == Kind::kLazypoline);
+    const Measured web =
+        measure({wm.name, web_scenario(wm.mech)},
+                gated ? std::vector<std::size_t>{kTrace, kBlock}
+                      : std::vector<std::size_t>{});
+    report(wm.name, web, table, results);
+    if (gated) {
+      print_paired((std::string(wm.name) + " trace over block").c_str(), web);
+      const double vs_block = web.timing.arms[1].median_ratio;
+      expect(vs_block >= kTraceGate,
+             "trace engine " + format_double(vs_block, 3) +
+                 "x over block engine on " + wm.name + " < " +
+                 format_double(kTraceGate, 2) + "x gate");
+      interposed_fused += web.runs[kTrace].tcache.fused_fastpaths;
     }
-    if (wm.mech == Kind::kSud) sud_invalidations = w_blk.bcache.invalidations;
+    if (wm.mech == Kind::kSud) {
+      sud_invalidations = web.runs[kBlock].bcache.invalidations;
+    }
     if (wm.mech == Kind::kZpoline) {
-      zpoline_invalidations = w_blk.bcache.invalidations;
+      zpoline_invalidations = web.runs[kBlock].bcache.invalidations;
     }
   }
 
   std::printf(
-      "== Execution engines (straight-line %llu iters x %d ops, min of %d) "
-      "==\n%s\n",
-      static_cast<unsigned long long>(kStraightLineIters), kUnroll, kReps,
-      table.render().c_str());
-  std::printf(
-      "== Webserver macro workload (nginx, %llu requests, min of %d) ==\n%s\n",
-      static_cast<unsigned long long>(kWebRequests), kWebReps,
-      wtable.render().c_str());
+      "== Execution engines (straight-line %llu iters x %d ops; micro loops "
+      "%llu syscalls; nginx %llu requests) ==\n%s\n",
+      static_cast<unsigned long long>(kStraightLineIters), kUnroll,
+      static_cast<unsigned long long>(kMicroIters),
+      static_cast<unsigned long long>(kWebRequests), table.render().c_str());
   // Single-task microbenchmark: --cpus tags the artifact for comparability.
   bench::write_json_report(json_path, "block_exec", results, cli.cpus);
 
-  bool ok = true;
-  if (block_speedup < kBlockGate) {
-    std::fprintf(stderr, "FAIL: superblock engine speedup %.3fx < %.2fx gate\n",
-                 block_speedup, kBlockGate);
-    ok = false;
-  }
   // The SUD page-split regression gate: with the selector on its own RW page
   // a selector flip is no longer an SMC event, so SUD invalidates no more
   // cached blocks than zpoline (both only pay the install-time rewrites).
-  if (sud_invalidations > zpoline_invalidations + 8) {
-    std::fprintf(stderr,
-                 "FAIL: SUD invalidated %llu cached blocks vs zpoline's %llu "
-                 "(selector byte sharing the stub's executable page?)\n",
-                 static_cast<unsigned long long>(sud_invalidations),
-                 static_cast<unsigned long long>(zpoline_invalidations));
-    ok = false;
-  }
+  expect(sud_invalidations <= zpoline_invalidations + 8,
+         "SUD invalidated " + std::to_string(sud_invalidations) +
+             " cached blocks vs zpoline's " +
+             std::to_string(zpoline_invalidations) +
+             " (selector byte sharing the stub's executable page?)");
   if (kTraceEngineBuilt) {
-    if (trace_gate_min < kTraceGate) {
-      std::fprintf(stderr,
-                   "FAIL: trace engine %.3fx over block engine on the "
-                   "interposed webserver < %.2fx gate\n",
-                   trace_gate_min, kTraceGate);
-      ok = false;
-    }
-    if (interposed_fused == 0) {
-      std::fprintf(stderr,
-                   "FAIL: no fused interposer fast paths on the interposed "
-                   "webserver\n");
-      ok = false;
-    }
+    expect(interposed_fused > 0,
+           "no fused interposer fast paths on the interposed webserver");
   } else {
     std::printf("SKIP: trace gates (built with -DLZP_TRACE_EXEC=OFF)\n");
   }
   if (!ok) return 1;
-  std::printf(
-      "PASS: straight-line block speedup %.3fx >= %.2fx, webserver trace "
-      "speedup %.3fx >= %.2fx over block, SUD invalidations at zpoline "
-      "level, all workloads cycle/step-identical across engines\n",
-      block_speedup, kBlockGate, kTraceEngineBuilt ? trace_gate_min : 0.0,
-      kTraceGate);
+  std::printf("PASS: block and trace speedups hold their gates, SUD "
+              "invalidations at zpoline level, all workloads "
+              "cycle/step-identical across engines\n");
   return 0;
 }

@@ -18,8 +18,9 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "base/stats.hpp"
 #include "base/strings.hpp"
+#include "bench_util.hpp"
 #include "metrics/report.hpp"
 #include "trace/metrics_registry.hpp"
 
@@ -215,21 +216,24 @@ int run_smp_mode(unsigned cpus, const std::string& json_path) {
               table.render().c_str());
 
   // Host wall-clock speedup: the same 8-worker baseline workload executed on
-  // 1 simulated CPU (serial scheduler) vs. `cpus` (parallel host threads).
-  // Min-of-3 to shed host scheduler noise.
-  double serial_ms = 1e18;
-  double parallel_ms = 1e18;
-  for (int rep = 0; rep < 3; ++rep) {
-    serial_ms = std::min(
-        serial_ms,
-        run_one_smp(profile, kSize, 8, kBaseline.mechanism, 1).host_ms);
-    parallel_ms = std::min(
-        parallel_ms,
-        run_one_smp(profile, kSize, 8, kBaseline.mechanism, cpus).host_ms);
-  }
-  const double speedup = serial_ms / parallel_ms;
+  // 1 simulated CPU (serial scheduler) vs. `cpus` (parallel host threads),
+  // paired by lzp::paired_ratios; the speedup is the inverse of the parallel
+  // run's median ratio to the serial one.
+  const auto host_seconds = [&](unsigned run_cpus) {
+    return run_one_smp(profile, kSize, 8, kBaseline.mechanism, run_cpus)
+               .host_ms /
+           1e3;
+  };
+  const PairedResult timing =
+      paired_ratios({{"1 cpu", [&] { return host_seconds(1); }},
+                     {"smp", [&] { return host_seconds(cpus); }}});
+  const double serial_ms = timing.arms[0].median_seconds * 1e3;
+  const double parallel_ms = timing.arms[1].median_seconds * 1e3;
+  const double speedup = 1.0 / timing.arms[1].median_ratio;
   const unsigned host_cores = ThreadPool::host_cores();
-  std::printf("-- host speedup (8 workers, baseline, min of 3) --\n");
+  std::printf("-- host speedup (8 workers, baseline, paired median of %zu "
+              "rounds, A/A %.3fx) --\n",
+              timing.rounds, timing.aa_ratio);
   std::printf("1 cpu: %.2f ms   %u cpus: %.2f ms   speedup: %.2fx "
               "(host has %u core%s)\n\n",
               serial_ms, cpus, parallel_ms, speedup, host_cores,
@@ -244,7 +248,7 @@ int run_smp_mode(unsigned cpus, const std::string& json_path) {
                      .render());
 
   // Scheduler telemetry summed over every run_smp above (throughput grid +
-  // speedup reps): the previously write-only SmpStats counters, surfaced via
+  // speedup rounds): the previously write-only SmpStats counters, surfaced via
   // the shared MetricsRegistry counter space.
   std::printf("-- smp scheduler telemetry (all runs) --\n%s\n",
               metrics::counters_table(

@@ -11,7 +11,7 @@
 // call. Because every charged cycle still passes through on_cycles, the
 // per-class totals a sink accumulates sum to Machine::total_cycles() exactly
 // whenever the machine is idle — the invariant examples/profile and
-// bench/profile_overhead gate on.
+// bench/overhead gate on.
 //
 // Probes never charge simulated cycles and never mutate machine state:
 // attaching a sink must leave cycle/instruction counters bit-identical

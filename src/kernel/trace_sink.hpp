@@ -9,7 +9,7 @@
 // full-fat implementation (flight recorder + metrics registry).
 //
 // Probes never charge simulated cycles: attaching a sink must not perturb
-// the cycle counts the benches measure (bench/trace_overhead.cpp asserts
+// the cycle counts the benches measure (bench/overhead.cpp asserts
 // this). A detached or disabled sink costs each `if (auto* sink =
 // machine.trace_sink())` call site one load and one branch.
 #pragma once

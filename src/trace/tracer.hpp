@@ -51,7 +51,7 @@ class Tracer final : public kern::TraceSink {
   // tracer serializes each probe through an internal mutex and timestamps
   // events with the task's own cycle counter (the machine-global counter is
   // stale between barriers). Off by default — the single-threaded hot path
-  // (gated by bench/trace_overhead) stays lock-free. Flip only while no run
+  // (gated by bench/overhead) stays lock-free. Flip only while no run
   // is in progress.
   void set_concurrent(bool on) noexcept { concurrent_ = on; }
   [[nodiscard]] bool concurrent() const noexcept { return concurrent_; }
@@ -112,7 +112,7 @@ class Tracer final : public kern::TraceSink {
   std::map<kern::Tid, std::vector<OpenFrame>> open_;
 
   // Hot-path slot caches into the registry's node-stable maps (reset by
-  // clear()). The per-event cost is what bench/trace_overhead.cpp gates, so
+  // clear()). The per-event cost is what bench/overhead.cpp gates, so
   // the common probes must not do a string-keyed map lookup per event.
   std::array<std::uint64_t*, kern::kNumMechanisms> syscall_count_slots_{};
   std::uint64_t* policy_transitions_slot_ = nullptr;
