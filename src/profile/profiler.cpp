@@ -58,7 +58,7 @@ Profiler::SiteStats* Profiler::guest_site(TaskState& state,
                                           std::uint64_t addr) {
   auto& bucket =
       state.site_hash[(addr * 0x9E3779B97F4A7C15ULL) >>
-                      (64 - 6)];  // 6 bits -> kSlotHashSize buckets
+                      (64 - TaskState::kSiteHashBits)];
   if (bucket.site != nullptr && bucket.addr == addr) return bucket.site;
   SiteStats* site = &guest_sites_[addr];
   bucket = {addr, site};

@@ -6,7 +6,7 @@
 // machine charges. Class totals come from the on_cycles mirror of
 // Machine::charge(), so they sum to Machine::total_cycles() *exactly* — with
 // the superblock engine on or off — which is the invariant examples/profile
-// and bench/profile_overhead gate on.
+// and bench/overhead gate on.
 //
 // Site attribution rides on the engine probes: on_guest_block gives exact
 // per-block sites (the batched engine's native granularity), on_guest_insn is
@@ -170,12 +170,17 @@ class Profiler final : public kern::ProfileSink {
     std::array<HashBucket, kSlotHashSize> slot_hash{};
     // Same trick for the per-probe guest site map: a direct-mapped hash over
     // guest_sites_ entries (node-stable), so the step engine's per-insn site
-    // bump is a multiply and a compare, not a tree walk.
+    // bump is a multiply and a compare, not a tree walk. Sampling every Nth
+    // retirement spreads the probes over every rip of a loop body, so the
+    // hash is sized for a few hundred live sites: at 64 buckets, the 74
+    // sampled rips of bench/overhead's profiled loop collided and sent a
+    // large share of the probes down the tree.
     struct SiteBucket {
       std::uint64_t addr = ~0ULL;
       SiteStats* site = nullptr;
     };
-    std::array<SiteBucket, kSlotHashSize> site_hash{};
+    static constexpr unsigned kSiteHashBits = 10;
+    std::array<SiteBucket, std::size_t{1} << kSiteHashBits> site_hash{};
   };
 
   // Conditional lock guard: a plain branch when single-threaded (the hot
