@@ -1121,7 +1121,6 @@ void Machine::adopt_task(std::unique_ptr<Task> task) {
 }
 
 void Machine::attach_dcache_probe(Task& task) {
-#ifndef LZP_TRACE_DISABLED
   // The Task is owned by a unique_ptr in tasks_/nursery_, so its address is
   // stable for the listener's whole lifetime.
   Task* t = &task;
@@ -1134,22 +1133,15 @@ void Machine::attach_dcache_probe(Task& task) {
   task.tcache.set_invalidation_listener([this, t](std::uint64_t rip) {
     if (auto* sink = trace_sink()) sink->on_trace_invalidation(*t, rip);
   });
-#else
-  (void)task;
-#endif
 }
 
 void Machine::note_task_switch(const Task& task) {
-#ifndef LZP_TRACE_DISABLED
   if (task.tid != last_sliced_tid_) {
     if (auto* sink = trace_sink()) {
       sink->on_task_event(task, TraceSink::TaskEvent::kSwitch, 0);
     }
   }
   last_sliced_tid_ = task.tid;
-#else
-  (void)task;
-#endif
 }
 
 // In SMP mode each simulated CPU allocates from its own disjoint range

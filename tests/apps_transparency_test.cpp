@@ -65,6 +65,13 @@ struct Case {
   LibcProfile profile;
 };
 
+// gtest puts the printed parameter into each test's listed name; without this
+// it prints the raw bytes, pointer included, so the names changed every build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.name << "/"
+      << (c.profile == LibcProfile::kUbuntu2004 ? "ubuntu" : "clearlinux");
+}
+
 class CoreutilTransparencyTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CoreutilTransparencyTest, FullXstateModeIsInvisible) {
