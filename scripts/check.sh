@@ -1,55 +1,22 @@
 #!/usr/bin/env bash
-# Tier-1 gate: configure + build + ctest (with LZP_WERROR=ON so the tree must
-# be warning-clean), then an LZP_SANITIZE=ON build (which also exercises the
-# trace cache and chained execution under ASan — trace_exec_test runs in the
-# full suite), then an LZP_BLOCK_EXEC=OFF + LZP_SANITIZE=ON build (proves the
-# superblock engine compiles out cleanly and the per-instruction reference
-# path still passes the whole suite under ASan), then an LZP_TRACE_EXEC=OFF
-# + LZP_SANITIZE=ON build (the block engine without the trace tier: the
-# block/trace/profiler suites must pass with the trace engine compiled out),
-# then a clang-tidy leg (skipped when clang-tidy is not installed)
-# failing on findings not in scripts/clang_tidy_baseline.txt, then the
-# static-analysis gate (examples/analyze --gate on the webserver workload:
-# fails if any verified-eager-rewritten site was not statically SAFE, or if
-# the runtime cross-checker observed a kernel-verified syscall disagreeing
-# with a SAFE verdict), then the syscall-flow policy gate (examples/policy
-# gate: the webserver must run violation-free under its own extracted
-# automaton on all four mechanisms, and every adversarial corpus program
-# must trip at least one violation with identical counts across mechanisms),
-# then the paper-results legs (table2_micro, fig4_breakdown and the 1-CPU
-# fig5_webservers grid emit BENCH_table2/fig4/fig5.json: every simulated
-# cycle count of Table II, Figure 4 and Figure 5, pinned exactly by the bench
-# diff), then the record-overhead bench (emits
-# BENCH_record_overhead.json at the repo root and fails if lazypoline-based
-# recording is not cheaper than ptrace's), then the trace-overhead bench
-# (emits BENCH_trace_overhead.json and fails if an attached-but-disabled
-# Tracer costs >2% wall time or an enabled one >15%, or if tracing perturbs
-# simulated cycles at all), then the block-exec bench (emits
-# BENCH_block_exec.json and fails if the superblock engine is <1.5x the
-# decode-cache baseline on straight-line code or perturbs simulated
-# cycles/steps on any workload), then the analysis-accuracy bench (emits
-# BENCH_analysis.json and fails on any SAFE false positive or if the analyzer
-# is not strictly more precise than the raw byte scan), then the policy
-# enforcement bench (emits BENCH_policy.json and fails if lazypoline-based
-# enforcement costs >1.15x wall time, perturbs simulated cycles, or the
-# static automaton does not contain the dynamically learned one), then the
-# SMP bench
-# (fig5_webservers --cpus=8, emits BENCH_smp.json; its >=2x host-speedup
-# gate self-skips on hosts with <8 cores), then the profiler-overhead bench
-# (emits BENCH_profile_overhead.json and fails if an enabled profiler costs
-# >1.10x wall time, an attached-but-disabled one >1.02x, profiling perturbs
-# simulated cycles, or per-class attribution is not cycle-exact), and
-# finally the bench-regression diff (scripts/bench_diff.py compares every
-# BENCH_*.json emitted above against bench/baselines/ with per-metric
-# tolerance bands; accept intentional changes with --regen-bench-baselines).
-# Every bench leg runs even after an earlier one fails; the script then fails
-# at the end, listing each failed gate.
-#
-# The sanitizer pass also includes a TSan leg (LZP_SANITIZE=thread) running
-# the concurrency-relevant suites — the SMP scheduler, the shared-AS
-# invalidation tests, and the threaded webserver — so every data race the
-# parallel substrate could introduce is caught by the race detector, not by
-# flaky output.
+# Tier-1 gate. Its legs, in order; each one stops the script when it fails,
+# except the bench legs, which all run and are then listed if they failed:
+#   1. build with LZP_WERROR=ON, then ctest;
+#   2. sanitizers (--no-sanitize skips): ASan+UBSan over the whole suite,
+#      again with LZP_BLOCK_EXEC=OFF, the block/trace/profiler suites with
+#      LZP_TRACE_EXEC=OFF, and TSan over the SMP suites plus a 4-CPU fig5 run;
+#   3. clang-tidy against scripts/clang_tidy_baseline.txt (skipped when not
+#      installed);
+#   4. examples/analyze --gate, examples/policy gate and the policy
+#      precision gate;
+#   5. bench legs (--no-bench skips): table2_micro, fig4_breakdown and
+#      fig5_webservers (every paper cycle count); overhead (tracer, profiler,
+#      policy enforcer and recorder); block_exec; analysis_accuracy;
+#      fig5_webservers --cpus=8; perfbench --self-test and a 1 s run of each
+#      perfbench workload (exit code = the reference-engine oracle); last,
+#      bench_diff.py of every BENCH_*.json against bench/baselines/.
+# Host-time gates read a median of paired per-round ratios
+# (lzp::paired_ratios, src/base/stats.hpp).
 #
 #   scripts/check.sh [--no-sanitize] [--no-bench] [--regen-tidy-baseline]
 #                    [--regen-bench-baselines]
@@ -197,10 +164,9 @@ if [[ "${run_bench}" == 1 ]]; then
   run_gate "Figure 4 (fig4_breakdown)" ./build/bench/fig4_breakdown BENCH_fig4.json
   run_gate "Figure 5 (fig5_webservers, 1 CPU)" ./build/bench/fig5_webservers
 
-  run_gate "record-overhead bench" \
-    ./build/bench/record_overhead BENCH_record_overhead.json
-  run_gate "trace-overhead bench" \
-    ./build/bench/trace_overhead BENCH_trace_overhead.json
+  # Tracer, profiler, policy enforcer and recorder: writes
+  # BENCH_{trace,profile,record}_overhead.json and BENCH_policy.json here.
+  run_gate "decorator-overhead bench (overhead)" ./build/bench/overhead
 
   if [[ -x build/bench/block_exec ]]; then
     run_gate "block-exec bench" ./build/bench/block_exec BENCH_block_exec.json
@@ -210,12 +176,15 @@ if [[ "${run_bench}" == 1 ]]; then
 
   run_gate "analysis-accuracy bench" \
     ./build/bench/analysis_accuracy BENCH_analysis.json
-  run_gate "policy-overhead bench" \
-    ./build/bench/policy_overhead BENCH_policy.json
   run_gate "SMP scale-out bench (fig5 --cpus=8 -> BENCH_smp.json)" \
     ./build/bench/fig5_webservers --cpus=8
-  run_gate "profiler-overhead bench" \
-    ./build/bench/profile_overhead BENCH_profile_overhead.json
+
+  # The host-speed benchmark: its exit code is the reference-engine oracle.
+  run_gate "perfbench self-test" python3 perfbench/run.py --self-test
+  for workload in web-lazypoline web-sud-record smp-lazypoline; do
+    run_gate "perfbench ${workload} (1 s)" python3 perfbench/run.py \
+      --workload "${workload}" --seed 1 --seconds 1 --trace 0
+  done
 
   # Bench-regression diff: every artifact the legs above produced, compared
   # against the committed baselines (host-dependent metrics are skipped by
