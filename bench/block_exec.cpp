@@ -1,27 +1,26 @@
-// Superblock + trace engine throughput gates.
+// Superblock engine throughput gates.
 //
 // Every workload here runs on otherwise-identical machines differing only in
-// the execution engine configuration:
+// the execution engine:
 //   reference — per-instruction stepping (decode cache on), the baseline;
-//   block     — the superblock engine (block_exec_enabled);
-//   trace     — superblocks chained into traces (trace_exec_enabled), with
-//               the fused interposer fast path and the all-nop sled superop.
+//   block     — the superblock engine (block_exec_enabled), which also runs
+//               long nop runs such as the VA-0 sled in O(1) per slice.
 // Three claims are enforced:
 //   (1) determinism — simulated cycles, retired instructions, machine steps
-//       and exit codes are bit-identical across all three configurations,
-//       for the straight-line workload, each interposition mechanism's micro
-//       loop (native / SUD / zpoline / lazypoline), and the Figure-5
-//       webserver under the same four mechanisms;
+//       and exit codes are bit-identical across both engines, for the
+//       straight-line workload, each interposition mechanism's micro loop
+//       (native / SUD / zpoline / lazypoline), and the Figure-5 webserver
+//       under the same four mechanisms;
 //   (2) block throughput — the superblock engine runs the straight-line
 //       workload at least kBlockGate x faster than reference in host wall
 //       time;
-//   (3) trace throughput — the trace engine runs the syscall-intensive
-//       webserver at least kTraceGate x faster than the block engine under
-//       zpoline and lazypoline, where each interposed syscall walks the
-//       VA-0 nop sled that the trace engine executes as an O(1) superop.
-// Both host-time gates read the median paired ratio of lzp::paired_ratios,
-// which interleaves the two engines they compare (its A/A control is printed
-// beside them); every other run is single and reported only. Only the guest
+//   (3) sled throughput — the block engine runs the syscall-intensive
+//       webserver at least kSledGate x faster than reference under zpoline
+//       and lazypoline, where each interposed syscall walks the VA-0 nop
+//       sled.
+// Every host-time gate reads the median paired ratio of lzp::paired_ratios,
+// which interleaves the two engines it compares (its A/A control is printed
+// beside it); every other run is single and reported only. Only the guest
 // run is timed.
 // A fourth regression gate holds the SUD selector/stub page split: SUD must
 // not invalidate cached blocks any more than zpoline does (the selector byte
@@ -50,24 +49,14 @@ constexpr std::uint64_t kMicroIters = 2'000;
 constexpr std::uint64_t kWebRequests = 2'400;
 constexpr std::uint64_t kWebFileSize = 4'096;
 constexpr double kBlockGate = 1.5;
-constexpr double kTraceGate = 2.0;
-
-constexpr bool kTraceEngineBuilt =
-#ifdef LZP_TRACE_EXEC_DISABLED
-    false;
-#else
-    true;
-#endif
+constexpr double kSledGate = 8.0;
 
 struct EngineCfg {
   const char* name;
   bool block;
-  bool trace;
 };
-constexpr EngineCfg kEngines[] = {{"reference", false, false},
-                                  {"block", true, false},
-                                  {"trace", true, true}};
-constexpr std::size_t kReference = 0, kBlock = 1, kTrace = 2;
+constexpr EngineCfg kEngines[] = {{"reference", false}, {"block", true}};
+constexpr std::size_t kReference = 0, kBlock = 1;
 
 // The throughput workload: a hot loop whose body is a long straight-line run
 // of arithmetic, so nearly every retired instruction is eligible for batched
@@ -99,7 +88,6 @@ struct RunResult {
   int exit_code = -1;
   cpu::BlockCacheStats bcache;
   cpu::DataTlbStats dtlb;
-  cpu::TraceCacheStats tcache;
 };
 
 // A workload runs `spec` when it has one, else `program` alone; the exit
@@ -114,7 +102,6 @@ RunResult run_once(const Workload& workload, const EngineCfg& cfg) {
   kern::Machine machine;
   machine.mmap_min_addr = 0;
   machine.block_exec_enabled = cfg.block;
-  machine.trace_exec_enabled = cfg.trace;
   scenario::Instance instance;
   kern::Tid tid = 0;
   if (workload.spec) {
@@ -143,7 +130,6 @@ RunResult run_once(const Workload& workload, const EngineCfg& cfg) {
   result.exit_code = machine.find_task(tid)->exit_code;
   result.bcache = machine.block_cache_totals();
   result.dtlb = machine.data_tlb_totals();
-  result.tcache = machine.trace_cache_totals();
   return result;
 }
 
@@ -153,7 +139,7 @@ bool same_simulation(const RunResult& a, const RunResult& b) {
 }
 
 struct Measured {
-  std::array<RunResult, 3> runs;  // indexed like kEngines
+  std::array<RunResult, 2> runs;  // indexed like kEngines
   PairedResult timing;            // of the paired engines, in their order
 };
 
@@ -163,7 +149,7 @@ struct Measured {
 Measured measure(const Workload& workload,
                  const std::vector<std::size_t>& paired = {}) {
   Measured out;
-  std::array<bool, 3> ran{};
+  std::array<bool, 2> ran{};
   std::vector<PairedArm> arms;
   for (const std::size_t engine : paired) {
     arms.push_back({kEngines[engine].name, [&, engine] {
@@ -202,7 +188,7 @@ Measured measure(const Workload& workload,
   return out;
 }
 
-// Reports `measured`'s three engines as table and JSON rows, each with its
+// Reports `measured`'s two engines as table and JSON rows, each with its
 // host speedup over reference.
 void report(const std::string& workload, const Measured& measured,
             metrics::Table& table, std::vector<std::string>& results) {
@@ -213,8 +199,7 @@ void report(const std::string& workload, const Measured& measured,
     table.add_row({workload, kEngines[engine].name,
                    format_double(r.seconds * 1e3, 3), metrics::ratio(speedup),
                    std::to_string(r.cycles), std::to_string(r.insns),
-                   std::to_string(r.tcache.chain_follows),
-                   std::to_string(r.tcache.fused_fastpaths)});
+                   std::to_string(r.bcache.blocks_built)});
     results.push_back(metrics::JsonObject()
                           .add("workload", workload)
                           .add("config", kEngines[engine].name)
@@ -229,23 +214,13 @@ void report(const std::string& workload, const Measured& measured,
                           .add("bcache_invalidations", r.bcache.invalidations)
                           .add("dtlb_read_hits", r.dtlb.read_hits)
                           .add("dtlb_write_hits", r.dtlb.write_hits)
-                          .add("tcache_hits", r.tcache.hits)
-                          .add("tcache_traces_built", r.tcache.traces_built)
-                          .add("tcache_chain_follows", r.tcache.chain_follows)
-                          .add("tcache_side_exits", r.tcache.side_exits)
-                          .add("tcache_completions", r.tcache.completions)
-                          .add("tcache_resumes", r.tcache.resumes)
-                          .add("tcache_demotions", r.tcache.demotions)
-                          .add("tcache_invalidations", r.tcache.invalidations)
-                          .add("tcache_fused_fastpaths",
-                               r.tcache.fused_fastpaths)
                           .render());
   }
 }
 
 // The Figure-5 single-worker webserver: 36 keepalive connections,
 // kWebRequests requests against a static file — the syscall-intensive macro
-// workload the trace gate is measured on.
+// workload the sled gate is measured on.
 scenario::Scenario web_scenario(scenario::Mechanism::Kind kind) {
   return {scenario::Web{apps::nginx_profile(), 1, kWebFileSize, 36,
                         kWebRequests},
@@ -259,7 +234,7 @@ int main(int argc, char** argv) {
   const std::string json_path = cli.positional_or(0, "BENCH_block_exec.json");
   std::vector<std::string> results;
   metrics::Table table({"workload", "config", "ms", "speedup", "sim cycles",
-                        "insns", "chains", "fused"});
+                        "insns", "blocks built"});
   bool ok = true;
   const auto expect = [&ok](bool holds, const std::string& message) {
     if (holds) return;
@@ -289,8 +264,8 @@ int main(int argc, char** argv) {
 
   // --- per-mechanism micro-loop determinism ---------------------------------
   // The interposed paths bounce through host code and signals, exercising the
-  // engines' fallback edges; each must be cycle-identical across all three
-  // configurations.
+  // engine's fallback edges; each must be cycle-identical across both
+  // engines.
   using Kind = scenario::Mechanism::Kind;
   const struct {
     const char* name;
@@ -307,8 +282,8 @@ int main(int argc, char** argv) {
     report(mechanism.name, measure({mechanism.name, micro}), table, results);
   }
 
-  // --- webserver macro workload + trace gate --------------------------------
-  // Paired with trace as the baseline, block's ratio is the trace speedup.
+  // --- webserver macro workload + sled gate ---------------------------------
+  // Paired with block as the baseline, reference's ratio is the speedup.
   const struct {
     const char* name;
     Kind mech;
@@ -318,23 +293,22 @@ int main(int argc, char** argv) {
                    {"web-lazypoline", Kind::kLazypoline}};
   std::uint64_t sud_invalidations = 0;
   std::uint64_t zpoline_invalidations = 0;
-  std::uint64_t interposed_fused = 0;
   for (const auto& wm : web_mechs) {
-    const bool gated = kTraceEngineBuilt && (wm.mech == Kind::kZpoline ||
-                                             wm.mech == Kind::kLazypoline);
+    const bool gated =
+        wm.mech == Kind::kZpoline || wm.mech == Kind::kLazypoline;
     const Measured web =
         measure({wm.name, web_scenario(wm.mech)},
-                gated ? std::vector<std::size_t>{kTrace, kBlock}
+                gated ? std::vector<std::size_t>{kBlock, kReference}
                       : std::vector<std::size_t>{});
     report(wm.name, web, table, results);
     if (gated) {
-      print_paired((std::string(wm.name) + " trace over block").c_str(), web);
-      const double vs_block = web.timing.arms[1].median_ratio;
-      expect(vs_block >= kTraceGate,
-             "trace engine " + format_double(vs_block, 3) +
-                 "x over block engine on " + wm.name + " < " +
-                 format_double(kTraceGate, 2) + "x gate");
-      interposed_fused += web.runs[kTrace].tcache.fused_fastpaths;
+      print_paired((std::string(wm.name) + " block over reference").c_str(),
+                   web);
+      const double speedup = web.timing.arms[1].median_ratio;
+      expect(speedup >= kSledGate,
+             "block engine " + format_double(speedup, 3) +
+                 "x over reference on " + wm.name + " < " +
+                 format_double(kSledGate, 2) + "x gate");
     }
     if (wm.mech == Kind::kSud) {
       sud_invalidations = web.runs[kBlock].bcache.invalidations;
@@ -361,15 +335,9 @@ int main(int argc, char** argv) {
              " cached blocks vs zpoline's " +
              std::to_string(zpoline_invalidations) +
              " (selector byte sharing the stub's executable page?)");
-  if (kTraceEngineBuilt) {
-    expect(interposed_fused > 0,
-           "no fused interposer fast paths on the interposed webserver");
-  } else {
-    std::printf("SKIP: trace gates (built with -DLZP_TRACE_EXEC=OFF)\n");
-  }
   if (!ok) return 1;
-  std::printf("PASS: block and trace speedups hold their gates, SUD "
-              "invalidations at zpoline level, all workloads "
-              "cycle/step-identical across engines\n");
+  std::printf("PASS: block speedups hold their gates, SUD invalidations at "
+              "zpoline level, all workloads cycle/step-identical across "
+              "engines\n");
   return 0;
 }

@@ -56,7 +56,6 @@ const Column kSud{"sud", Mechanism::Kind::kSud};
 // decode-cache table is the reference-path story under -DLZP_BLOCK_EXEC=OFF.
 cpu::DecodeCacheStats g_dcache_totals;
 cpu::BlockCacheStats g_bcache_totals;
-cpu::TraceCacheStats g_tcache_totals;
 
 // SMP scheduler telemetry accumulated across every run_smp via the shared
 // counter surface (trace/metrics_registry.hpp is header-only, so this costs
@@ -76,18 +75,6 @@ void accumulate_dcache(const kern::Machine& machine) {
   g_bcache_totals.invalidations += blocks.invalidations;
   g_bcache_totals.flushes += blocks.flushes;
   g_bcache_totals.blocks_built += blocks.blocks_built;
-  const cpu::TraceCacheStats traces = machine.trace_cache_totals();
-  g_tcache_totals.hits += traces.hits;
-  g_tcache_totals.misses += traces.misses;
-  g_tcache_totals.invalidations += traces.invalidations;
-  g_tcache_totals.flushes += traces.flushes;
-  g_tcache_totals.traces_built += traces.traces_built;
-  g_tcache_totals.chain_follows += traces.chain_follows;
-  g_tcache_totals.side_exits += traces.side_exits;
-  g_tcache_totals.completions += traces.completions;
-  g_tcache_totals.resumes += traces.resumes;
-  g_tcache_totals.demotions += traces.demotions;
-  g_tcache_totals.fused_fastpaths += traces.fused_fastpaths;
 }
 
 struct GridRun {
@@ -373,20 +360,6 @@ int main(int argc, char** argv) {
   std::printf("hit rate: %s\n",
               metrics::percent(100.0 * g_bcache_totals.hit_rate()).c_str());
 
-  std::printf("\n-- simulator trace cache (all runs) --\n");
-  std::printf("%s",
-              metrics::counters_table(
-                  {{"hits", g_tcache_totals.hits},
-                   {"misses", g_tcache_totals.misses},
-                   {"invalidations", g_tcache_totals.invalidations},
-                   {"traces built", g_tcache_totals.traces_built},
-                   {"chain follows", g_tcache_totals.chain_follows},
-                   {"side exits", g_tcache_totals.side_exits},
-                   {"completions", g_tcache_totals.completions},
-                   {"resumes", g_tcache_totals.resumes},
-                   {"demotions", g_tcache_totals.demotions},
-                   {"fused fastpaths", g_tcache_totals.fused_fastpaths}})
-                  .c_str());
   bench::write_json_report("BENCH_fig5.json", "fig5_webservers", g_grid_rows);
   return 0;
 }

@@ -90,8 +90,7 @@ BENCHMARK(BM_CpuStepLoopCached);
 // variant additionally exports the superblock-cache counters so the bench
 // JSON shows how much of the run was batch-dispatched.
 void machine_straight_line(benchmark::State& state, bool cache_enabled,
-                           bool block_enabled = false,
-                           bool trace_enabled = false) {
+                           bool block_enabled = false) {
   constexpr std::uint64_t kIterations = 50'000;
   isa::Assembler a;
   const auto entry = a.new_label();
@@ -113,19 +112,16 @@ void machine_straight_line(benchmark::State& state, bool cache_enabled,
   std::uint64_t insns = 0;
   cpu::DecodeCacheStats totals;
   cpu::BlockCacheStats block_totals;
-  cpu::TraceCacheStats trace_totals;
   for (auto _ : state) {
     kern::Machine machine;
     machine.decode_cache_enabled = cache_enabled;
     machine.block_exec_enabled = block_enabled;
-    machine.trace_exec_enabled = trace_enabled;
     const kern::Tid tid = bench::unwrap(machine.load(program), "load");
     const auto stats = machine.run();
     if (!stats.all_exited) bench::die("machine did not quiesce");
     insns += machine.find_task(tid)->insns_retired;
     totals = machine.decode_cache_totals();
     block_totals = machine.block_cache_totals();
-    trace_totals = machine.trace_cache_totals();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(insns));
   state.counters["decode_hit_rate"] = totals.hit_rate();
@@ -141,18 +137,6 @@ void machine_straight_line(benchmark::State& state, bool cache_enabled,
         static_cast<double>(block_totals.blocks_built);
     state.counters["block_invalidations"] =
         static_cast<double>(block_totals.invalidations);
-  }
-  if (trace_enabled) {
-    state.counters["trace_traces_built"] =
-        static_cast<double>(trace_totals.traces_built);
-    state.counters["trace_chain_follows"] =
-        static_cast<double>(trace_totals.chain_follows);
-    state.counters["trace_side_exits"] =
-        static_cast<double>(trace_totals.side_exits);
-    state.counters["trace_demotions"] =
-        static_cast<double>(trace_totals.demotions);
-    state.counters["trace_fused_fastpaths"] =
-        static_cast<double>(trace_totals.fused_fastpaths);
   }
 }
 
@@ -171,16 +155,6 @@ void BM_MachineStraightLineBlock(benchmark::State& state) {
   machine_straight_line(state, /*cache_enabled=*/true, /*block_enabled=*/true);
 }
 BENCHMARK(BM_MachineStraightLineBlock);
-
-#ifndef LZP_TRACE_EXEC_DISABLED
-// Block engine plus chained-trace execution (cpu/trace_cache.hpp) on top;
-// exports the trace engine's formation/chaining counters into the bench JSON.
-void BM_MachineStraightLineTrace(benchmark::State& state) {
-  machine_straight_line(state, /*cache_enabled=*/true, /*block_enabled=*/true,
-                        /*trace_enabled=*/true);
-}
-BENCHMARK(BM_MachineStraightLineTrace);
-#endif
 #endif
 
 void BM_BpfMonitoringFilter(benchmark::State& state) {

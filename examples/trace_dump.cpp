@@ -86,10 +86,6 @@ int main(int argc, char** argv) {
 
   std::printf("%s under %s: %llu machine steps\n\n", workload.c_str(),
               mechanism.c_str(), static_cast<unsigned long long>(stats.insns));
-  // The trace engine's lifetime totals have no per-event probe (only
-  // invalidations do); fold them in so the counter table shows the chained
-  // execution the run actually got.
-  trace::record_trace_cache_stats(tracer.metrics(), machine.trace_cache_totals());
   std::printf("%s", trace::render_summary(tracer).c_str());
 
   if (policy_mode) {

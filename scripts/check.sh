@@ -3,8 +3,8 @@
 # except the bench legs, which all run and are then listed if they failed:
 #   1. build with LZP_WERROR=ON, then ctest;
 #   2. sanitizers (--no-sanitize skips): ASan+UBSan over the whole suite,
-#      again with LZP_BLOCK_EXEC=OFF, the block/trace/profiler suites with
-#      LZP_TRACE_EXEC=OFF, and TSan over the SMP suites plus a 4-CPU fig5 run;
+#      again with LZP_BLOCK_EXEC=OFF, and TSan over the SMP suites plus a
+#      4-CPU fig5 run;
 #   3. clang-tidy against scripts/clang_tidy_baseline.txt (skipped when not
 #      installed);
 #   4. examples/analyze --gate, examples/policy gate and the policy
@@ -55,15 +55,6 @@ if [[ "${run_sanitize}" == 1 ]]; then
     -DLZP_WERROR=ON >/dev/null
   cmake --build build-noblock -j"$(nproc)"
   ctest --test-dir build-noblock -j"$(nproc)" --output-on-failure
-
-  echo "== no-trace-engine build (LZP_TRACE_EXEC=OFF, LZP_SANITIZE=ON) =="
-  cmake -B build-notrace -S . -DLZP_TRACE_EXEC=OFF -DLZP_SANITIZE=ON \
-    -DLZP_WERROR=ON >/dev/null
-  cmake --build build-notrace -j"$(nproc)" --target \
-    block_exec_test trace_exec_test profile_test
-  ./build-notrace/tests/block_exec_test
-  ./build-notrace/tests/trace_exec_test
-  ./build-notrace/tests/profile_test
 
   echo "== thread-sanitizer build (LZP_SANITIZE=thread, SMP suites) =="
   cmake -B build-tsan -S . -DLZP_SANITIZE=thread -DLZP_WERROR=ON >/dev/null

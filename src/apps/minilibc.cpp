@@ -47,8 +47,8 @@ void emit_pthread_init_glibc231(isa::Assembler& a) {
 
 void emit_ptmalloc_init_glibc239(isa::Assembler& a) {
   // Clear Linux glibc 2.39: the compiler prepopulates xmm1 with the arena
-  // initialization pattern, then tcache seeding performs getrandom before
-  // the arena fields are stored.
+  // initialization pattern, then malloc's per-thread cache seeding performs
+  // getrandom before the arena fields are stored.
   a.mov(Gpr::r13, kMainArenaAddr);
   a.xmov(/*xmm=*/1, 0x0001000200030004ULL);
   emit_syscall3(a, kern::kSysGetrandom, kDataBase + 0x30, 16, 0);

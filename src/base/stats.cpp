@@ -5,50 +5,6 @@
 
 namespace lzp {
 
-double mean(std::span<const double> samples) noexcept {
-  if (samples.empty()) return 0.0;
-  double sum = 0.0;
-  for (double s : samples) sum += s;
-  return sum / static_cast<double>(samples.size());
-}
-
-double geomean(std::span<const double> samples) noexcept {
-  if (samples.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double s : samples) {
-    if (s <= 0.0) return 0.0;  // geomean undefined; report 0 rather than NaN
-    log_sum += std::log(s);
-  }
-  return std::exp(log_sum / static_cast<double>(samples.size()));
-}
-
-double stddev(std::span<const double> samples) noexcept {
-  if (samples.size() < 2) return 0.0;
-  const double m = mean(samples);
-  double acc = 0.0;
-  for (double s : samples) acc += (s - m) * (s - m);
-  return std::sqrt(acc / static_cast<double>(samples.size() - 1));
-}
-
-double stddev_pct(std::span<const double> samples) noexcept {
-  const double m = mean(samples);
-  // Guard both the zero mean (division by zero -> inf/NaN) and a negative
-  // mean (which would report a negative "percentage"): the spread relative
-  // to the magnitude is what callers tabulate.
-  if (m == 0.0 || !std::isfinite(m)) return 0.0;
-  return 100.0 * stddev(samples) / std::abs(m);
-}
-
-double min_of(std::span<const double> samples) noexcept {
-  if (samples.empty()) return 0.0;
-  return *std::min_element(samples.begin(), samples.end());
-}
-
-double max_of(std::span<const double> samples) noexcept {
-  if (samples.empty()) return 0.0;
-  return *std::max_element(samples.begin(), samples.end());
-}
-
 double median(std::vector<double> samples) noexcept {
   if (samples.empty()) return 0.0;
   const std::size_t mid = samples.size() / 2;

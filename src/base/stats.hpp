@@ -1,23 +1,13 @@
-// Statistics helpers used by the benchmark harnesses: the paper reports
-// geometric means over 10 repeats and maximal standard deviations.
+// Statistics helpers used by the benchmark harnesses and the tracer.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
 namespace lzp {
 
-[[nodiscard]] double mean(std::span<const double> samples) noexcept;
-[[nodiscard]] double geomean(std::span<const double> samples) noexcept;
-// Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples.
-[[nodiscard]] double stddev(std::span<const double> samples) noexcept;
-// Standard deviation as a percentage of the mean (the paper's "below X%").
-[[nodiscard]] double stddev_pct(std::span<const double> samples) noexcept;
-[[nodiscard]] double min_of(std::span<const double> samples) noexcept;
-[[nodiscard]] double max_of(std::span<const double> samples) noexcept;
 [[nodiscard]] double median(std::vector<double> samples) noexcept;
 
 // Paired host-time comparison, the one estimator behind every host-time gate.

@@ -43,14 +43,12 @@ const mem::Page* BlockCache::translate(const mem::AddressSpace& as,
   return page;
 }
 
-bool BlockCache::build(const mem::AddressSpace& as, std::uint64_t rip,
-                       const mem::Page& page, DecodedBlock* block) {
-  (void)as;
+bool BlockCache::build(std::uint64_t rip, const mem::Page& page,
+                       DecodedBlock* block) {
   const std::uint64_t page_base = mem::page_floor(rip);
   block->start = rip;
   block->page_gen = page.gen;
   block->nops = 0;
-  block->length = 0;
   block->insns.clear();
 
   std::uint64_t cursor = rip;
@@ -69,11 +67,33 @@ bool BlockCache::build(const mem::AddressSpace& as, std::uint64_t rip,
     const isa::Instruction& insn = decoded.value();
     block->insns.push_back(insn);
     if (insn.op == isa::Op::kNop) ++block->nops;
-    block->length += insn.length;
     cursor += insn.length;
     if (ends_block(insn.op)) break;
   }
   return !block->insns.empty();
+}
+
+const DecodedBlock* BlockCache::serve_nop_run(std::uint64_t rip) noexcept {
+  nop_block_.start = rip;
+  nop_block_.page_gen = nop_gen_;
+  nop_block_.nops = static_cast<std::uint32_t>(nop_hi_ - rip);
+  return &nop_block_;
+}
+
+bool BlockCache::memoize_nop_run(std::uint64_t rip,
+                                 const mem::Page& page) noexcept {
+  const std::uint64_t page_base = mem::page_floor(rip);
+  const std::uint8_t* bytes = page.bytes.data();
+  std::uint64_t lo = rip - page_base;
+  if (bytes[lo] != isa::kByteNop) return false;
+  std::uint64_t hi = lo + 1;
+  while (lo > 0 && bytes[lo - 1] == isa::kByteNop) --lo;
+  while (hi < mem::kPageSize && bytes[hi] == isa::kByteNop) ++hi;
+  if (hi - lo < kMinNopRun) return false;
+  nop_gen_ = page.gen;
+  nop_lo_ = page_base + lo;
+  nop_hi_ = page_base + hi;
+  return true;
 }
 
 const DecodedBlock* BlockCache::lookup_or_build(const mem::AddressSpace& as,
@@ -84,13 +104,26 @@ const DecodedBlock* BlockCache::lookup_or_build(const mem::AddressSpace& as,
     as_id_ = as.asid();
   }
 
-  DecodedBlock& entry = entries_[index_of(rip)];
   const std::uint64_t page_base = mem::page_floor(rip);
   const mem::Page* page = translate(as, page_base);
+  const bool fetchable =
+      page != nullptr && (page->prot & mem::kProtExec) != 0;
 
+  if (rip >= nop_lo_ && rip < nop_hi_) {
+    if (fetchable && page->gen == nop_gen_) {
+      ++stats_.hits;
+      return serve_nop_run(rip);
+    }
+    // Same staleness rules as a block entry: the page vanished, lost exec,
+    // or was written since the run was scanned.
+    nop_lo_ = nop_hi_ = 0;
+    ++stats_.invalidations;
+    if (invalidation_listener_) invalidation_listener_(rip);
+  }
+
+  DecodedBlock& entry = entries_[index_of(rip)];
   if (entry.start == rip) {
-    if (page != nullptr && (page->prot & mem::kProtExec) != 0 &&
-        page->gen == entry.page_gen) {
+    if (fetchable && page->gen == entry.page_gen) {
       ++stats_.hits;
       return &entry;
     }
@@ -102,11 +135,15 @@ const DecodedBlock* BlockCache::lookup_or_build(const mem::AddressSpace& as,
   }
 
   ++stats_.misses;
-  if (page == nullptr || (page->prot & mem::kProtExec) == 0) {
+  if (!fetchable) {
     // Unfetchable first byte: the per-instruction path raises the fault.
     return nullptr;
   }
-  if (!build(as, rip, *page, &entry)) {
+  if (memoize_nop_run(rip, *page)) {
+    ++stats_.blocks_built;
+    return serve_nop_run(rip);
+  }
+  if (!build(rip, *page, &entry)) {
     entry.start = kNoAddr;
     return nullptr;
   }
@@ -119,6 +156,7 @@ void BlockCache::flush() noexcept {
     entry.start = kNoAddr;
     entry.insns.clear();
   }
+  nop_lo_ = nop_hi_ = 0;
   tlb_base_ = kNoAddr;
   tlb_page_ = nullptr;
   as_id_ = 0;
@@ -126,15 +164,25 @@ void BlockCache::flush() noexcept {
 
 BlockRun run_block(CpuContext& ctx, mem::AddressSpace& mem,
                    const DecodedBlock& block, std::uint64_t budget,
-                   DataTlb* tlb, std::size_t first_insn) {
+                   DataTlb* tlb) {
   BlockRun run;
+  if (block.is_nop_run()) {
+    // NOPs have no register, memory or fault effects: only rip and the
+    // counts move, by however many of them the budget reaches.
+    run.executed = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(budget, block.nops));
+    run.retired = run.executed;
+    run.nops = run.executed;
+    ctx.rip += run.executed;
+    return run;
+  }
   // Snapshot the address space's code generation: a store inside this block
   // can rewrite a *later* instruction of the same block (WX self-modifying
   // code), and the per-instruction reference path would refetch and see the
   // new bytes. Ending the run at the first generation bump forces a relookup,
   // which invalidates and rebuilds from the freshly written page.
   const std::uint64_t code_gen_at_entry = mem.code_gen();
-  for (std::size_t idx = first_insn; idx < block.insns.size(); ++idx) {
+  for (std::size_t idx = 0; idx < block.insns.size(); ++idx) {
     const isa::Instruction& insn = block.insns[idx];
     if (run.executed >= budget) break;
     const std::uint64_t insn_addr = ctx.rip;

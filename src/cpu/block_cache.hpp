@@ -23,6 +23,14 @@
 // invalidates single decodes (writes to exec pages, exec-bit mprotect flips,
 // unmap, fork/execve asid changes all bump the relevant generation).
 //
+// Nop runs. A maximal run of at least kMinNopRun one-byte NOPs on one page
+// (the zpoline/lazypoline sled at VA 0) is served from a one-entry memo
+// instead of per-entry-point blocks: every rip inside the run gets the same
+// instruction-free block covering [rip, end of run), and run_block() retires
+// min(budget, remaining) nops in O(1). The memo is revalidated like a block
+// (asid, layout generation via the page TLB, exec bit, page generation), so
+// a write anywhere on the page drops it.
+//
 // run_block() executes through cpu::exec_decoded one instruction at a time,
 // maintaining ctx.rip as it goes: a mid-block fault therefore leaves the
 // context exactly as the per-instruction path would — rip at the faulting
@@ -61,8 +69,11 @@ struct DecodedBlock {
   std::uint64_t start = 0;
   std::uint64_t page_gen = 0;  // generation the block was decoded under
   std::uint32_t nops = 0;      // how many of insns are kNop (cost precompute)
-  std::uint32_t length = 0;    // total encoded bytes (trace engine nop superop)
   std::vector<isa::Instruction> insns;
+
+  // A nop run holds no decoded instructions: its `nops` one-byte NOPs start
+  // at `start`.
+  [[nodiscard]] bool is_nop_run() const noexcept { return insns.empty(); }
 };
 
 // True for every opcode that must end a block (control transfers plus the
@@ -77,7 +88,9 @@ class BlockCache {
   BlockCache() : entries_(kNumEntries) {}
 
   // Returns a valid block starting at `rip`, building (and caching) one if
-  // needed. nullptr when no block can be built: the first instruction
+  // needed; inside a memoized nop run, the run's block from `rip` on (hits
+  // and builds count it like any block). nullptr when no block can be
+  // built: the first instruction
   // crosses a page boundary, fails to decode, or the page is not executable
   // — the caller falls back to the per-instruction path, which owns raising
   // the architectural fault. The pointer is valid until the next
@@ -98,6 +111,9 @@ class BlockCache {
 
  private:
   static constexpr std::uint64_t kNoAddr = ~0ULL;
+  // Shorter nop runs (alignment padding) stay inside ordinary blocks, so
+  // they neither split straight-line code nor evict the sled's memo.
+  static constexpr std::uint64_t kMinNopRun = 16;
 
   [[nodiscard]] static std::size_t index_of(std::uint64_t rip) noexcept {
     return static_cast<std::size_t>((rip ^ (rip >> 12)) & (kNumEntries - 1));
@@ -109,11 +125,25 @@ class BlockCache {
 
   // Decodes a fresh block at `rip` into `block`. Returns false when not even
   // one instruction fits (see lookup_or_build).
-  bool build(const mem::AddressSpace& as, std::uint64_t rip,
-             const mem::Page& page, DecodedBlock* block);
+  static bool build(std::uint64_t rip, const mem::Page& page,
+                    DecodedBlock* block);
+
+  // The nop-run block for `rip` inside the memoized run.
+  [[nodiscard]] const DecodedBlock* serve_nop_run(std::uint64_t rip) noexcept;
+  // Memoizes the maximal nop run around `rip` when it is at least
+  // kMinNopRun long; false otherwise.
+  bool memoize_nop_run(std::uint64_t rip, const mem::Page& page) noexcept;
 
   std::vector<DecodedBlock> entries_;  // start == kNoAddr marks empty
   std::uint64_t as_id_ = 0;
+
+  // The one-entry nop-run memo: [nop_lo_, nop_hi_), all on one page, valid
+  // while that page stays executable at nop_gen_. nop_lo_ == nop_hi_ marks
+  // it empty.
+  std::uint64_t nop_gen_ = 0;
+  std::uint64_t nop_lo_ = 0;
+  std::uint64_t nop_hi_ = 0;
+  DecodedBlock nop_block_;  // what serve_nop_run hands out
 
   std::uint64_t tlb_base_ = kNoAddr;
   std::uint64_t tlb_layout_gen_ = 0;
@@ -138,17 +168,16 @@ struct BlockRun {
   const isa::Instruction* last = nullptr;  // the ending instruction itself
 };
 
-// Executes up to `budget` instructions of `block`, starting at instruction
-// index `first_insn` (ctx.rip must sit exactly on that instruction; the
-// trace engine uses a nonzero index to resume a block the slice quantum cut
-// mid-run). The budget is in *executed* instructions — exactly the machine
-// steps a per-instruction run would use, so slice boundaries land on
+// Executes up to `budget` instructions of `block` (ctx.rip must equal
+// block.start). The budget is in *executed* instructions — exactly the
+// machine steps a per-instruction run would use, so slice boundaries land on
 // identical points with the engine on or off. Stops early at the first
 // non-kContinue outcome; the kSyscall terminator counts as retired (matching
 // step_once's accounting), while kHostCall/kHlt/kTrap and faults execute
-// without retiring.
+// without retiring. A nop run retires min(budget, block.nops) NOPs at
+// once.
 BlockRun run_block(CpuContext& ctx, mem::AddressSpace& mem,
                    const DecodedBlock& block, std::uint64_t budget,
-                   DataTlb* tlb = nullptr, std::size_t first_insn = 0);
+                   DataTlb* tlb = nullptr);
 
 }  // namespace lzp::cpu

@@ -245,28 +245,6 @@ void Machine::run_slice_counted(Task& task, std::uint64_t max_insns,
   while (steps - start < max_insns) {
 #ifndef LZP_BLOCK_EXEC_DISABLED
     if (can_batch_execute(task)) {
-#ifndef LZP_TRACE_EXEC_DISABLED
-      if (trace_exec_enabled) {
-        // A trace parked at the previous slice's end resumes mid-chain (even
-        // mid-block); otherwise enter at a recorded head. take_resume
-        // revalidates as thoroughly as lookup, so both paths run only
-        // proven-fresh blocks.
-        std::size_t resume_block = 0;
-        std::size_t resume_insn = 0;
-        cpu::Trace* trace = task.tcache.take_resume(*task.mem, task.ctx.rip,
-                                                    resume_block, resume_insn);
-        if (trace == nullptr) {
-          trace = task.tcache.lookup(*task.mem, task.ctx.rip);
-        }
-        if (trace != nullptr) {
-          if (!trace_step(task, *trace, max_insns - (steps - start), steps,
-                          resume_block, resume_insn)) {
-            return;
-          }
-          continue;
-        }
-      }
-#endif
       if (const cpu::DecodedBlock* block =
               task.bcache.lookup_or_build(*task.mem, task.ctx.rip)) {
         if (!block_step(task, *block, max_insns - (steps - start), steps)) {
@@ -275,12 +253,6 @@ void Machine::run_slice_counted(Task& task, std::uint64_t max_insns,
         continue;
       }
     }
-#ifndef LZP_TRACE_EXEC_DISABLED
-    // Falling to the per-instruction path ends any in-progress chain: the
-    // recording is finalized here (installed if long enough) rather than
-    // silently extended across unbatchable work.
-    if (trace_exec_enabled) task.tcache.end_recording();
-#endif
 #endif
     if (!step_once(task, steps)) return;
   }
@@ -299,10 +271,12 @@ bool Machine::deliverable_signal_pending(const Task& task) noexcept {
 bool Machine::can_batch_execute(const Task& task) const noexcept {
   // Every condition here names a client that needs per-instruction
   // precision; the per-step path is the reference semantics and anything
-  // that observes or perturbs individual steps gets it.
-  return block_exec_enabled && insn_observers_.empty() &&
-         slice_observers_.empty() && !schedule_hook_ && !task.ptraced &&
-         !is_host_addr(task.ctx.rip) && !deliverable_signal_pending(task);
+  // that observes or perturbs individual steps gets it. Slice observers are
+  // not among them: they are notified after run_slice returns, and block
+  // runs end slices on the same step as the per-step path.
+  return block_exec_enabled && insn_observers_.empty() && !schedule_hook_ &&
+         !task.ptraced && !is_host_addr(task.ctx.rip) &&
+         !deliverable_signal_pending(task);
 }
 
 void Machine::account_block_run(Task& task, const cpu::DecodedBlock& block,
@@ -383,170 +357,14 @@ bool Machine::dispatch_block_exit(Task& task, const cpu::BlockRun& run) {
   return false;
 }
 
-#ifndef LZP_TRACE_EXEC_DISABLED
-// True for exit kinds the trace engine may chain across: the block ran to
-// its end and control transferred somewhere batched execution can resume.
-// Faults and traps re-enter signal machinery and never chain.
-[[nodiscard]] static bool chainable_exit(cpu::ExecKind kind) noexcept {
-  return kind == cpu::ExecKind::kContinue || kind == cpu::ExecKind::kSyscall ||
-         kind == cpu::ExecKind::kHostCall;
-}
-#endif  // LZP_TRACE_EXEC_DISABLED
-
 bool Machine::block_step(Task& task, const cpu::DecodedBlock& block,
                          std::uint64_t budget, std::uint64_t& steps) {
   const cpu::BlockRun run =
       cpu::run_block(task.ctx, *task.mem, block, budget, &task.dtlb);
   account_block_run(task, block, run, steps);
-  const bool alive = dispatch_block_exit(task, run);
-
-#ifndef LZP_TRACE_EXEC_DISABLED
-  // Trace formation feedback. A full, chainable block execution whose next
-  // step is still batchable heats (or extends a recording of) the chain;
-  // anything else — partial run, fault exit, task death, a slow-path
-  // condition at the boundary — ends it. task.ctx.rip here is the
-  // architectural successor with the exit fully handled (past syscall and
-  // host-call side effects), which is exactly what trace_step must land on
-  // when it replays the chain.
-  if (trace_exec_enabled) {
-    const bool full_clean = alive && run.executed == block.insns.size() &&
-                            chainable_exit(run.kind);
-    if (full_clean && can_batch_execute(task)) {
-      task.tcache.on_block_executed(*task.mem, task.bcache, block,
-                                    task.ctx.rip);
-    } else if (full_clean) {
-      task.tcache.end_recording();
-    } else if (alive && run.kind == cpu::ExecKind::kContinue &&
-               run.executed == budget) {
-      // The slice quantum cut the block mid-run — nothing about the chain
-      // broke, the block just did not finish this slice. Report the cut: a
-      // cut at the recording's expected boundary arms the linear cursor, so
-      // the chain keeps extending through the differently-aligned fragments
-      // the continuation executes as (for loop bodies longer than the
-      // quantum, the boundary may never recur as one full-clean run).
-      task.tcache.record_cut(*task.mem, task.bcache, block, task.ctx.rip);
-    } else {
-      task.tcache.abort_recording();
-    }
-  }
-#endif
-  return alive;
+  return dispatch_block_exit(task, run);
 }
 
-#ifndef LZP_TRACE_EXEC_DISABLED
-bool Machine::trace_step(Task& task, cpu::Trace& trace, std::uint64_t budget,
-                         std::uint64_t& steps, std::size_t start_block,
-                         std::size_t start_insn) {
-  // A resumed run continues the execution counted when the trace was first
-  // entered; only fresh entries feed the demotion ratio.
-  if (start_block == 0 && start_insn == 0) task.tcache.note_entered(trace);
-  // record_observe below may finalize a recording; keep it from installing
-  // over this trace's slot while we hold references into it.
-  const cpu::TraceCache::ScopedPin pin(task.tcache, &trace);
-
-  // Trace-boundary safety snapshot. lookup() already proved every embedded
-  // page present, executable, and at its recorded generation; as long as the
-  // address space identity and its code/layout generations do not move, that
-  // proof stays valid for the whole chain. Any movement — a store into code,
-  // an mprotect/munmap from a syscall, an execve swapping the space — forces
-  // a side exit at the next block boundary, exactly where the block engine
-  // would have revalidated. task.mem is re-read at every boundary: execve
-  // replaces the AddressSpace object itself.
-  const std::uint64_t entry_asid = task.mem->asid();
-  const std::uint64_t entry_code_gen = task.mem->code_gen();
-  const std::uint64_t entry_layout_gen = task.mem->layout_gen();
-
-  std::uint64_t used = 0;
-  for (std::size_t i = start_block; i < trace.blocks.size(); ++i) {
-    const cpu::TraceBlock& tb = trace.blocks[i];
-    const std::uint64_t remaining = budget - used;
-    const std::size_t skip = i == start_block ? start_insn : 0;
-    const std::size_t n = tb.block.insns.size();
-    const std::size_t want = n - skip;  // instructions left in this block
-
-    cpu::BlockRun run;
-    if (tb.block.nops == n && remaining >= want) {
-      // All-nop superop: the zpoline sled (and any other nop ramp) retires
-      // its remaining nops with no register, memory, or fault effects — O(1)
-      // instead of one dispatch each. Legal only here: trace entry validated
-      // the page bytes via recorded generations, so the cached decode is
-      // current.
-      run.kind = cpu::ExecKind::kContinue;
-      run.executed = static_cast<std::uint32_t>(want);
-      run.retired = run.executed;
-      run.nops = run.executed;
-      run.last = nullptr;
-      task.ctx.rip = tb.block.start + tb.block.length;
-    } else {
-      run = cpu::run_block(task.ctx, *task.mem, tb.block, remaining,
-                           &task.dtlb, skip);
-    }
-    used += run.executed;
-    account_block_run(task, tb.block, run, steps);
-
-    const bool fused_candidate = run.kind == cpu::ExecKind::kHostCall;
-    if (!dispatch_block_exit(task, run)) return false;
-
-    // Keep any in-progress recording fed: blocks that execute inside a trace
-    // never reach block_step, and without this a new recording whose path
-    // crosses an installed trace would wait for a successor that never
-    // arrives. Only full from-the-top runs qualify (a resumed tail does not
-    // prove control flowed through the whole block).
-    if (skip == 0 && run.executed == n && chainable_exit(run.kind) &&
-        task.tcache.recording() && can_batch_execute(task)) {
-      task.tcache.record_observe(*task.mem, task.bcache, tb.block,
-                                 task.ctx.rip);
-    }
-
-    if (run.executed < want) {
-      if (used >= budget && run.kind == cpu::ExecKind::kContinue) {
-        // The slice budget cut the block mid-run — the block engine would
-        // stop at the same step. Park the exact instruction so the next
-        // slice re-enters the chain here instead of demoting to blocks.
-        task.tcache.set_resume(trace.start, i, skip + run.executed);
-      } else if (used < budget) {
-        // A mid-block code write (or fault) ended it early: genuine side
-        // exit.
-        task.tcache.note_side_exit(trace);
-      }
-      return true;
-    }
-    if (i + 1 == trace.blocks.size()) {
-      // A clean exit off the recorded end is a completion; a fault or trap
-      // on the last block counts against the trace like any other side exit.
-      if (chainable_exit(run.kind)) {
-        task.tcache.note_completion();
-      } else {
-        task.tcache.note_side_exit(trace);
-      }
-      return true;
-    }
-    if (!chainable_exit(run.kind) || task.mem->asid() != entry_asid ||
-        task.mem->code_gen() != entry_code_gen ||
-        task.mem->layout_gen() != entry_layout_gen ||
-        task.ctx.rip != trace.blocks[i + 1].block.start ||
-        !can_batch_execute(task)) {
-      // note_side_exit may demote (and thereby destroy) the trace; nothing
-      // touches it after this point.
-      task.tcache.note_side_exit(trace);
-      return true;
-    }
-    task.tcache.note_chain_follow(trace);
-    // A host-call exit chained straight through: the interposer handler ran
-    // and returned control to the recorded successor without leaving the
-    // trace — the fused lazypoline fast path.
-    if (fused_candidate) task.tcache.note_fused_fastpath();
-    if (used >= budget) {
-      // Slice exhausted exactly at a boundary: park the position so the next
-      // slice re-enters here instead of falling back to single blocks for
-      // the rest of the chain.
-      task.tcache.set_resume(trace.start, i + 1, 0);
-      return true;
-    }
-  }
-  return task.runnable();
-}
-#endif  // LZP_TRACE_EXEC_DISABLED
 #endif  // LZP_BLOCK_EXEC_DISABLED
 
 bool Machine::step_once(Task& task, std::uint64_t& steps) {
@@ -1004,28 +822,6 @@ cpu::BlockCacheStats Machine::block_cache_totals() const {
   return totals;
 }
 
-cpu::TraceCacheStats Machine::trace_cache_totals() const {
-  cpu::TraceCacheStats totals;
-  auto add = [&totals](const Task& task) {
-    const cpu::TraceCacheStats& stats = task.tcache.stats();
-    totals.hits += stats.hits;
-    totals.misses += stats.misses;
-    totals.invalidations += stats.invalidations;
-    totals.flushes += stats.flushes;
-    totals.traces_built += stats.traces_built;
-    totals.recordings_aborted += stats.recordings_aborted;
-    totals.chain_follows += stats.chain_follows;
-    totals.side_exits += stats.side_exits;
-    totals.completions += stats.completions;
-    totals.resumes += stats.resumes;
-    totals.demotions += stats.demotions;
-    totals.fused_fastpaths += stats.fused_fastpaths;
-  };
-  for (const auto& [tid, task] : tasks_) add(*task);
-  for (const auto& task : nursery_) add(*task);
-  return totals;
-}
-
 cpu::DataTlbStats Machine::data_tlb_totals() const {
   cpu::DataTlbStats totals;
   auto add = [&totals](const Task& task) {
@@ -1129,9 +925,6 @@ void Machine::attach_dcache_probe(Task& task) {
   });
   task.bcache.set_invalidation_listener([this, t](std::uint64_t rip) {
     if (auto* sink = trace_sink()) sink->on_block_invalidation(*t, rip);
-  });
-  task.tcache.set_invalidation_listener([this, t](std::uint64_t rip) {
-    if (auto* sink = trace_sink()) sink->on_trace_invalidation(*t, rip);
   });
 }
 

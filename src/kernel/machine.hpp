@@ -112,28 +112,15 @@ class Machine {
   // Superblock execution engine (cpu/block_cache.hpp): run_slice executes
   // cached straight-line decodes as batches — accounting hoisted to block
   // boundaries — whenever exactness permits, and falls back to step_once
-  // when it does not: per-instruction observers, record/replay hooks,
-  // ptrace, host code at rip, or a deliverable pending signal. On by
+  // when it does not: per-instruction observers, the replay schedule hook,
+  // ptrace, host code at rip, or a deliverable pending signal. A long nop
+  // run (the zpoline sled) executes in O(1) per slice. On by
   // default; compiled out wholesale with -DLZP_BLOCK_EXEC=OFF (the flag
   // remains so toggling code builds either way).
   bool block_exec_enabled = true;
   // Block-cache / data-TLB counters summed over every task.
   [[nodiscard]] cpu::BlockCacheStats block_cache_totals() const;
   [[nodiscard]] cpu::DataTlbStats data_tlb_totals() const;
-
-  // Trace execution engine (cpu/trace_cache.hpp): hot superblocks chain into
-  // recorded traces that run_slice executes back to back — across direct
-  // jumps, calls, returns, syscalls, and host calls — consulting the
-  // dispatcher once per chain instead of once per block. A trace reaching a
-  // rewritten syscall site runs trampoline entry, handler dispatch, and
-  // return without leaving trace_step (the fused lazypoline fast path); any
-  // slow-path condition side-exits back to the reference semantics. Layered
-  // on the block engine: requires block_exec_enabled, and inherits every
-  // can_batch_execute exactness gate. Compiled out wholesale with
-  // -DLZP_TRACE_EXEC=OFF.
-  bool trace_exec_enabled = true;
-  // Trace-cache counters summed over every task.
-  [[nodiscard]] cpu::TraceCacheStats trace_cache_totals() const;
 
   // --- host function registry ---------------------------------------------
   // `cls` is the cycle-attribution class charges take while the bound
@@ -398,26 +385,13 @@ class Machine {
                   std::uint64_t budget, std::uint64_t& steps);
   // Batched accounting for one block run: lane steps, retirement counters,
   // the per-block profile probe, and the cycle charge — identical totals to
-  // per-instruction stepping (shared by block_step and trace_step).
+  // per-instruction stepping.
   void account_block_run(Task& task, const cpu::DecodedBlock& block,
                          const cpu::BlockRun& run, std::uint64_t& steps);
   // Handles a finished block run's exit exactly as step_once would have for
   // the instruction at run.insn_addr. Returns false when the task can no
   // longer run.
   bool dispatch_block_exit(Task& task, const cpu::BlockRun& run);
-#ifndef LZP_TRACE_EXEC_DISABLED
-  // Executes a recorded trace (bounded by `budget` steps): embedded blocks
-  // run back to back, with the trace-boundary safety check (address space,
-  // code/layout generations, batchability, recorded successor) between
-  // links; any mismatch side-exits with state exactly as the block engine
-  // would have left it. Returns false when the task can no longer run.
-  // A nonzero (start_block, start_insn) resumes a chain parked at the
-  // previous slice's end — possibly mid-block (TraceCache::take_resume
-  // already revalidated the position).
-  bool trace_step(Task& task, cpu::Trace& trace, std::uint64_t budget,
-                  std::uint64_t& steps, std::size_t start_block,
-                  std::size_t start_insn);
-#endif
 #endif
 
   // Figure 1: the syscall kernel entry path for a SYSCALL instruction

@@ -378,11 +378,6 @@ SmpStats Machine::run_smp(const SmpConfig& config,
         task->dcache.flush();
         task->bcache.flush();
         task->dtlb.flush();
-        // The trace cache invalidates per embedded page instead of flushing
-        // wholesale: a remote CPU's code write drops exactly the traces that
-        // embed the touched page, and chains over untouched pages survive
-        // the shootdown.
-        task->tcache.invalidate_stale(*task->mem);
         ++out.shootdowns;
       }
       task->smp_seen_code_gen = code_gen;

@@ -18,7 +18,6 @@
 #include "cpu/context.hpp"
 #include "cpu/data_tlb.hpp"
 #include "cpu/decode_cache.hpp"
-#include "cpu/trace_cache.hpp"
 #include "kernel/profile_sink.hpp"
 #include "kernel/signals.hpp"
 #include "memory/address_space.hpp"
@@ -110,11 +109,6 @@ struct Task {
   // cpu/data_tlb.hpp).
   cpu::BlockCache bcache;
   cpu::DataTlb dtlb;
-
-  // Trace cache for the chained-superblock engine (cpu/trace_cache.hpp).
-  // Per-task like bcache; invalidates per embedded page through the shared
-  // page generations, flushes via asid on execve/fork.
-  cpu::TraceCache tcache;
 
   SudState sud;
   // seccomp filters attached to this task (newest last, all run, most

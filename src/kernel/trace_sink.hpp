@@ -125,10 +125,6 @@ class TraceSink {
   // Same event for the superblock cache (cpu/block_cache.hpp): a cached
   // straight-line decode was dropped because its page generation went stale.
   virtual void on_block_invalidation(const Task&, std::uint64_t /*rip*/) {}
-  // Same event for the trace cache (cpu/trace_cache.hpp): a chained trace
-  // was dropped because one of its embedded pages went stale; `rip` is the
-  // trace's head.
-  virtual void on_trace_invalidation(const Task&, std::uint64_t /*rip*/) {}
   // An interposition mechanism finished arming itself on a task.
   virtual void on_mechanism_install(const Task&, InterposeMechanism) {}
   // The static/dynamic cross-checker (analysis/crosscheck.hpp) matched a

@@ -24,7 +24,6 @@ enum class EventType : std::uint8_t {
   kSeccompDecision,     // a = nr, b = decisive action word
   kDecodeInvalidation,  // a = rip whose cached decode went stale
   kBlockInvalidation,   // a = rip whose cached superblock went stale
-  kTraceInvalidation,   // a = head rip of a chained trace with a stale page
   kMechanismInstall,    // mech = the mechanism that finished arming
   kCrosscheck,          // a = site, b = static verdict, c = outcome
   kPolicyDecision,      // a = nr, b = from-state, c = kern::PolicyDecision
@@ -45,7 +44,6 @@ enum class EventType : std::uint8_t {
     case EventType::kSeccompDecision: return "seccomp-decision";
     case EventType::kDecodeInvalidation: return "decode-invalidation";
     case EventType::kBlockInvalidation: return "block-invalidation";
-    case EventType::kTraceInvalidation: return "trace-invalidation";
     case EventType::kMechanismInstall: return "mechanism-install";
     case EventType::kCrosscheck: return "crosscheck";
     case EventType::kPolicyDecision: return "policy-decision";

@@ -49,7 +49,6 @@ std::string instant_args(const Event& event) {
     case EventType::kSiteRewrite:
     case EventType::kDecodeInvalidation:
     case EventType::kBlockInvalidation:
-    case EventType::kTraceInvalidation:
       args.add("addr", hex_u64(event.a));
       break;
     case EventType::kSeccompDecision:

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "base/stats.hpp"
-#include "cpu/trace_cache.hpp"
 #include "kernel/smp.hpp"
 #include "kernel/trace_sink.hpp"
 
@@ -157,26 +156,6 @@ inline void record_smp_stats(MetricsRegistry& metrics,
     metrics.bump(prefix + ".slices", smp.cpus[cpu].slices);
     metrics.bump(prefix + ".tasks", smp.cpus[cpu].tasks);
   }
-}
-
-// Folds the trace engine's lifetime counters (Machine::trace_cache_totals())
-// into registry counters under the "tcache." prefix, the same bridge
-// record_smp_stats provides for the scheduler. "tcache.invalidations" is
-// intentionally absent: the Tracer counts it per event as traces drop, and a
-// run that detaches its probe mid-way would otherwise double-count.
-inline void record_trace_cache_stats(MetricsRegistry& metrics,
-                                     const cpu::TraceCacheStats& tcache) {
-  metrics.bump("tcache.hits", tcache.hits);
-  metrics.bump("tcache.misses", tcache.misses);
-  metrics.bump("tcache.flushes", tcache.flushes);
-  metrics.bump("tcache.traces_built", tcache.traces_built);
-  metrics.bump("tcache.recordings_aborted", tcache.recordings_aborted);
-  metrics.bump("tcache.chain_follows", tcache.chain_follows);
-  metrics.bump("tcache.side_exits", tcache.side_exits);
-  metrics.bump("tcache.completions", tcache.completions);
-  metrics.bump("tcache.resumes", tcache.resumes);
-  metrics.bump("tcache.demotions", tcache.demotions);
-  metrics.bump("tcache.fused_fastpaths", tcache.fused_fastpaths);
 }
 
 }  // namespace lzp::trace

@@ -194,16 +194,6 @@ void Tracer::on_block_invalidation(const kern::Task& task, std::uint64_t rip) {
   push_event(task, event);
 }
 
-void Tracer::on_trace_invalidation(const kern::Task& task, std::uint64_t rip) {
-  if (!enabled()) return;
-  auto lock = maybe_lock();
-  metrics_.bump("tcache.invalidations");
-  Event event;
-  event.type = EventType::kTraceInvalidation;
-  event.a = rip;
-  push_event(task, event);
-}
-
 void Tracer::on_mechanism_install(const kern::Task& task,
                                   kern::InterposeMechanism mech) {
   if (!enabled()) return;

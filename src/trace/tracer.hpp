@@ -43,7 +43,7 @@ class Tracer final : public kern::TraceSink {
   [[nodiscard]] const FlightRecorder& ring() const noexcept { return ring_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
   // Mutable view, for folding in end-of-run aggregates that have no per-event
-  // probe (record_smp_stats, record_trace_cache_stats).
+  // probe (record_smp_stats).
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   void clear();
 
@@ -70,7 +70,6 @@ class Tracer final : public kern::TraceSink {
                            std::uint32_t action) override;
   void on_decode_invalidation(const kern::Task& task, std::uint64_t rip) override;
   void on_block_invalidation(const kern::Task& task, std::uint64_t rip) override;
-  void on_trace_invalidation(const kern::Task& task, std::uint64_t rip) override;
   void on_mechanism_install(const kern::Task& task,
                             kern::InterposeMechanism mech) override;
   void on_crosscheck(const kern::Task& task, std::uint64_t site,

@@ -58,13 +58,11 @@ struct RunOutcome {
 };
 
 // One serial run of the getpid loop under `mech`, optionally profiled.
-RunOutcome run_serial(Mech mech, bool profiled, bool block_engine,
-                      bool trace_engine = false) {
+RunOutcome run_serial(Mech mech, bool profiled, bool block_engine) {
   profile::Profiler profiler;
   kern::Machine machine;
   machine.mmap_min_addr = 0;
   machine.block_exec_enabled = block_engine;
-  machine.trace_exec_enabled = trace_engine;
   machine.reseed_rng(kSeed);
   if (profiled) profiler.attach(machine);
 
@@ -126,19 +124,12 @@ RunOutcome run_smp(bool profiled) {
 // The per-class sums equal the machine's retired-cycle counter exactly, for
 // every mechanism, under both execution engines.
 TEST(ProfilerTest, ClassSumsMatchMachineCyclesExactly) {
-  struct Engine {
-    bool block;
-    bool trace;
-    const char* name;
-  };
-  constexpr Engine kEngines[] = {
-      {false, false, " step"}, {true, false, " block"}, {true, true, " trace"}};
   for (const Mech mech : scenario::kInterposers) {
-    for (const Engine& engine : kEngines) {
+    for (const bool block_engine : {false, true}) {
       const RunOutcome run =
-          run_serial(mech, /*profiled=*/true, engine.block, engine.trace);
+          run_serial(mech, /*profiled=*/true, block_engine);
       EXPECT_EQ(run.profiler_cycles, run.machine_cycles)
-          << scenario::to_string(mech) << engine.name;
+          << scenario::to_string(mech) << (block_engine ? " block" : " step");
       EXPECT_GT(run.profiler_cycles, 0u);
     }
   }
