@@ -4,6 +4,10 @@
 // harnesses with per-component numbers.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <functional>
+#include <thread>
+
 #include "bench_util.hpp"
 #include "bpf/seccomp_filter.hpp"
 #include "cpu/execute.hpp"
@@ -292,6 +296,52 @@ void BM_MachineStraightLineTracedDisabled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(insns));
 }
 BENCHMARK(BM_MachineStraightLineTracedDisabled);
+
+// The cost of one SMP barrier phase with nothing to do: an empty 4-lane
+// ThreadPool::run_indexed, against the same four calls made inline. The
+// back-to-back variant finds the workers still spinning from the previous
+// phase; the parked variant lets them park first (untimed), so it prices
+// the wake-up and final wait that src/kernel/smp.cpp's kMinParallelPhase
+// must pay for.
+constexpr unsigned kPhaseLanes = 4;
+
+void BM_ThreadPoolPhaseInline(benchmark::State& state) {
+  unsigned calls = 0;
+  const std::function<void(unsigned)> fn = [&](unsigned i) {
+    benchmark::DoNotOptimize(i);
+    ++calls;
+  };
+  for (auto _ : state) {
+    for (unsigned i = 0; i < kPhaseLanes; ++i) fn(i);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(calls);
+}
+BENCHMARK(BM_ThreadPoolPhaseInline);
+
+void BM_ThreadPoolPhase(benchmark::State& state) {
+  ThreadPool pool(kPhaseLanes);
+  const std::function<void(unsigned)> fn = [](unsigned i) {
+    benchmark::DoNotOptimize(i);
+  };
+  for (auto _ : state) pool.run_indexed(kPhaseLanes, fn);
+}
+BENCHMARK(BM_ThreadPoolPhase)->UseRealTime();
+
+void BM_ThreadPoolPhaseParked(benchmark::State& state) {
+  ThreadPool pool(kPhaseLanes);
+  const std::function<void(unsigned)> fn = [](unsigned i) {
+    benchmark::DoNotOptimize(i);
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    state.ResumeTiming();
+    pool.run_indexed(kPhaseLanes, fn);
+  }
+}
+// Each iteration sleeps 1 ms untimed, so the count is fixed.
+BENCHMARK(BM_ThreadPoolPhaseParked)->UseRealTime()->Iterations(500);
 
 }  // namespace
 

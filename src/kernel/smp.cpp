@@ -2,15 +2,18 @@
 //
 // Structure: a barrier-round loop. Each iteration runs one *parallel phase*
 // (every simulated CPU executes rounds_per_barrier round-robin passes over
-// its own run queue on the host thread pool) followed by one *serial phase*
-// (counter reconciliation, cross-CPU signal drain, clone-child placement,
-// SMC/TLB shootdowns, queue pruning). All cross-CPU decisions happen in the
-// serial phase in sorted order, which is what makes a gang-placed run a pure
-// function of (programs, seed, cpus).
+// its own run queue, on host lanes or inline on the calling thread) followed
+// by one *serial phase* (counter reconciliation, cross-CPU signal drain,
+// clone-child placement, SMC/TLB shootdowns, queue pruning). All cross-CPU
+// decisions happen in the serial phase in sorted order, which is what makes
+// a gang-placed run a pure function of (programs, seed, cpus).
 #include <algorithm>
+#include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "base/thread_pool.hpp"
 #include "kernel/machine.hpp"
@@ -49,6 +52,21 @@ struct alignas(64) Lane {
   std::uint64_t steps = 0;
   std::uint64_t slices = 0;
 };
+
+// A parallel phase goes to host lanes only after the previous
+// kLongPhasesBeforeLanes phases each took at least kMinParallelPhase on the
+// host; other phases run inline on the calling thread. Waking parked lanes
+// and waiting for the last one costs W = 15-22 us on a 4-vCPU 2.1 GHz host:
+// an empty 4-lane phase with parked lanes (gbench_micro
+// BM_ThreadPoolPhaseParked; the same four calls made inline take ~7 ns). A
+// phase of T spread over L cores takes about T/L + W, which beats T once
+// T > W * L/(L-1): 20-29 us at L = 4, 30-44 us at L = 2. One long phase
+// predicts little: the first two of a run fill cold caches, and a host
+// preemption stretches a single phase, while starting the lanes for it costs
+// ~100 us. Which host thread runs a lane never changes a simulated result, so
+// this decides host time only.
+constexpr std::chrono::nanoseconds kMinParallelPhase{50'000};
+constexpr unsigned kLongPhasesBeforeLanes = 3;
 
 constexpr std::uint64_t kSmpIdBase = 1'000'000;
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
@@ -258,11 +276,42 @@ SmpStats Machine::run_smp(const SmpConfig& config,
     register_slice_locks();
   }
 
-  // Lane count: enough host threads to use the machine's cores (and to give
-  // TSan real concurrency on small hosts), without one thread per simulated
-  // CPU when sweeping datacenter-scale configs.
-  ThreadPool pool(std::min(cpus, std::max(ThreadPool::host_cores(), 8U)));
+  // Host lanes: at most one per host core, since more lanes than cores only
+  // timeshare. Built on the first phase that goes parallel, so a run whose
+  // phases all run inline starts no threads.
+  const unsigned max_lanes = std::min(cpus, ThreadPool::host_cores());
+  std::optional<ThreadPool> pool;
+  unsigned long_phases = 0;  // consecutive phases >= kMinParallelPhase
   std::vector<Lane> lanes(cpus);
+
+  // Each index is one simulated CPU draining its own queue. The budget
+  // check happens only at barriers, so a round can overshoot the deadline
+  // by at most cpus * rounds_per_barrier * slice_insns steps.
+  const std::function<void(unsigned)> run_lane = [&](unsigned c) {
+    Lane& lane = lanes[c];
+    for (unsigned round = 0; round < config.rounds_per_barrier; ++round) {
+      for (Task* task : queues[c]) {
+        if (!task->runnable()) continue;
+        ++lane.slices;
+        if (config.gang_shared) {
+          run_slice_counted(*task, config.slice_insns, lane.steps);
+          continue;
+        }
+        // AS -> Process slice-lock order (see register_slice_locks).
+        auto as_it = as_locks.find(task->mem.get());
+        std::unique_lock<std::mutex> as_lock;
+        if (as_it != as_locks.end()) {
+          as_lock = std::unique_lock<std::mutex>(*as_it->second);
+        }
+        auto proc_it = proc_locks.find(task->process.get());
+        std::unique_lock<std::mutex> proc_lock;
+        if (proc_it != proc_locks.end()) {
+          proc_lock = std::unique_lock<std::mutex>(*proc_it->second);
+        }
+        run_slice_counted(*task, config.slice_insns, lane.steps);
+      }
+    }
+  };
 
   const std::uint64_t deadline = total_steps_ + max_total_steps;
   // Previous-barrier lane counters, so each timeline sample carries this
@@ -271,46 +320,30 @@ SmpStats Machine::run_smp(const SmpConfig& config,
   std::vector<std::uint64_t> prev_slices(cpus, 0);
   smp_active_ = true;
   while (total_steps_ < deadline) {
-    bool any_runnable = false;
-    for (unsigned c = 0; c < cpus && !any_runnable; ++c) {
-      for (Task* task : queues[c]) {
-        if (task->runnable()) {
-          any_runnable = true;
-          break;
-        }
-      }
-    }
-    if (!any_runnable) break;
+    const auto busy_cpus =
+        std::count_if(queues.begin(), queues.end(), [](const auto& queue) {
+          return std::any_of(queue.begin(), queue.end(),
+                             [](const Task* task) { return task->runnable(); });
+        });
+    if (busy_cpus == 0) break;
 
     // --- parallel phase ---------------------------------------------------
-    // Each index is one simulated CPU draining its own queue. The budget
-    // check happens only at barriers, so a round can overshoot the deadline
-    // by at most cpus * rounds_per_barrier * slice_insns steps.
-    pool.run_indexed(cpus, [&](unsigned c) {
-      Lane& lane = lanes[c];
-      for (unsigned round = 0; round < config.rounds_per_barrier; ++round) {
-        for (Task* task : queues[c]) {
-          if (!task->runnable()) continue;
-          ++lane.slices;
-          if (config.gang_shared) {
-            run_slice_counted(*task, config.slice_insns, lane.steps);
-            continue;
-          }
-          // AS -> Process slice-lock order (see register_slice_locks).
-          auto as_it = as_locks.find(task->mem.get());
-          std::unique_lock<std::mutex> as_lock;
-          if (as_it != as_locks.end()) {
-            as_lock = std::unique_lock<std::mutex>(*as_it->second);
-          }
-          auto proc_it = proc_locks.find(task->process.get());
-          std::unique_lock<std::mutex> proc_lock;
-          if (proc_it != proc_locks.end()) {
-            proc_lock = std::unique_lock<std::mutex>(*proc_it->second);
-          }
-          run_slice_counted(*task, config.slice_insns, lane.steps);
-        }
-      }
-    });
+    // On host lanes when at least two CPUs have work and the last phases
+    // were long enough to pay for the barrier; else lanes 0..cpus-1 in index
+    // order on this thread.
+    const auto phase_start = std::chrono::steady_clock::now();
+    if (busy_cpus >= 2 && max_lanes >= 2 &&
+        long_phases >= kLongPhasesBeforeLanes) {
+      if (!pool) pool.emplace(max_lanes);
+      pool->run_indexed(cpus, run_lane);
+      ++out.host_parallel_phases;
+    } else {
+      for (unsigned c = 0; c < cpus; ++c) run_lane(c);
+      ++out.host_inline_phases;
+    }
+    const bool long_phase =
+        std::chrono::steady_clock::now() - phase_start >= kMinParallelPhase;
+    long_phases = long_phase ? long_phases + 1 : 0;
     ++out.barriers;
 
     // --- serial phase -----------------------------------------------------

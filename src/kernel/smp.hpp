@@ -1,8 +1,8 @@
 // SMP substrate: multi-CPU execution of the simulated machine.
 //
 // Machine::run_smp() places tasks onto N simulated CPUs (seeded, reproducible
-// placement) and executes each CPU's run queue on a host thread pool between
-// deterministic barriers:
+// placement) and executes each CPU's run queue between deterministic
+// barriers:
 //
 //   serial:   merge clone children, place them (gang groups stay together),
 //             rebalance queues (deterministic work stealing), drain the
@@ -11,6 +11,12 @@
 //   parallel: every CPU runs `rounds_per_barrier` round-robin passes over its
 //             own queue, one `slice_insns` slice per runnable task per pass,
 //             counting steps into a private lane.
+//
+// A parallel phase runs its lanes on a host thread pool (at most one lane per
+// host core, started on first use) only when at least two CPUs have work and
+// the last few phases each took long enough to pay for waking the lanes and
+// waiting for them; otherwise the calling thread runs lanes 0..cpus-1 in
+// order. Which host thread runs a lane never changes a simulated result.
 //
 // Determinism: with gang placement (default), tasks sharing an address space
 // or a process land on the same CPU, so all sharing-dependent execution is
@@ -92,6 +98,11 @@ struct SmpStats {
   static constexpr std::size_t kMaxTimelineSamples = 65536;
   std::vector<SmpBarrierSample> timeline;
   bool timeline_truncated = false;
+  // Parallel phases run inline on the calling thread and on host lanes.
+  // They depend on host timing, so no exporter or exact comparison reads
+  // them (trace::record_smp_stats leaves them out).
+  std::uint64_t host_inline_phases = 0;
+  std::uint64_t host_parallel_phases = 0;
 };
 
 }  // namespace lzp::kern

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/log.hpp"
@@ -11,6 +16,7 @@
 #include "base/stats.hpp"
 #include "base/status.hpp"
 #include "base/strings.hpp"
+#include "base/thread_pool.hpp"
 
 namespace lzp {
 namespace {
@@ -313,6 +319,135 @@ TEST(LogTest, SinkReceivesMessagesAtOrAboveLevel) {
   ASSERT_EQ(captured.size(), 2u);
   EXPECT_EQ(captured[0], "INFO:visible 42");
   EXPECT_EQ(captured[1], "ERROR:bad");
+}
+
+// --- thread pool -----------------------------------------------------------------
+
+constexpr unsigned kPoolLanes = 4;
+
+// Holds the calling lane for about a microsecond, so that workers claim
+// indices too instead of the caller draining every phase before they wake.
+void hold_lane() {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(1);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// Many short back-to-back phases: the pattern of the SMP barrier loop, and
+// the one where a lane still leaving phase k runs into phase k+1.
+TEST(ThreadPoolTest, EveryIndexRunsExactlyOncePerPhase) {
+  ThreadPool pool(kPoolLanes);
+  ASSERT_EQ(pool.lanes(), kPoolLanes);
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr int kPhases = 10'000;
+  for (const unsigned n : {kPoolLanes - 2, kPoolLanes, 2 * kPoolLanes + 1}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<unsigned> on_workers{0};
+    const std::function<void(unsigned)> fn = [&](unsigned i) {
+      hold_lane();
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+      if (std::this_thread::get_id() != caller) {
+        on_workers.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    int bad_phases = 0;
+    for (int phase = 1; phase <= kPhases; ++phase) {
+      pool.run_indexed(n, fn);
+      for (const std::atomic<int>& count : hits) {
+        if (count.load(std::memory_order_relaxed) != phase) {
+          ++bad_phases;
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(bad_phases, 0) << "n = " << n;
+    EXPECT_GT(on_workers.load(), 0u) << "n = " << n << ": no worker ran a call";
+  }
+}
+
+TEST(ThreadPoolTest, ZeroAndOneIndexRunOnTheCaller) {
+  ThreadPool pool(kPoolLanes);
+  int calls = 0;
+  std::thread::id ran_on;
+  const std::function<void(unsigned)> fn = [&](unsigned i) {
+    EXPECT_EQ(i, 0u);
+    ++calls;
+    ran_on = std::this_thread::get_id();
+  };
+  pool.run_indexed(0, fn);
+  EXPECT_EQ(calls, 0);
+  pool.run_indexed(1, fn);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolTest, OneLanePoolIsAPlainLoop) {
+  ThreadPool pool(0);  // clamped to one lane
+  EXPECT_EQ(pool.lanes(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<unsigned> order;
+  pool.run_indexed(3, [&](unsigned i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<unsigned>{0, 1, 2}));
+}
+
+// Plain (non-atomic) writes: each phase writes one buffer and reads the one
+// the previous phase wrote at another index, so every read crosses lanes
+// through a run_indexed return; the caller checks the writes after each.
+TEST(ThreadPoolTest, LaneWritesAreVisibleAfterReturn) {
+  ThreadPool pool(kPoolLanes);
+  constexpr unsigned kN = 2 * kPoolLanes;
+  std::array<std::vector<std::uint64_t>, 2> buffers{
+      std::vector<std::uint64_t>(kN, 0), std::vector<std::uint64_t>(kN, 0)};
+  std::vector<std::uint64_t> stale_reads(kN, 0);
+  std::uint64_t bad_returns = 0;
+  for (std::uint64_t phase = 1; phase <= 2'000; ++phase) {
+    std::vector<std::uint64_t>& now = buffers[phase % 2];
+    const std::vector<std::uint64_t>& before = buffers[(phase + 1) % 2];
+    pool.run_indexed(kN, [&](unsigned i) {
+      hold_lane();
+      const unsigned j = (i + 1) % kN;
+      if (before[j] != (phase - 1) * kN + j) ++stale_reads[i];
+      now[i] = phase * kN + i;
+    });
+    for (unsigned i = 0; i < kN; ++i) {
+      if (now[i] != phase * kN + i) ++bad_returns;
+    }
+  }
+  EXPECT_EQ(bad_returns, 0u);
+  // Phase 1 reads the zeroed buffer, which matches only at index 0.
+  std::uint64_t stale = 0;
+  for (std::uint64_t count : stale_reads) stale += count;
+  EXPECT_EQ(stale, kN - 1);
+}
+
+TEST(ThreadPoolTest, DestructorJoinsParkedWorkers) {
+  { ThreadPool never_used(kPoolLanes); }
+  std::atomic<unsigned> calls{0};
+  {
+    ThreadPool pool(kPoolLanes);
+    pool.run_indexed(kPoolLanes, [&](unsigned) { calls.fetch_add(1); });
+    // Long past the workers' spin: they are parked when the pool dies.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(calls.load(), kPoolLanes);
+}
+
+TEST(ThreadPoolTest, ThrowingCallIsRethrownAndThePoolStaysUsable) {
+  ThreadPool pool(kPoolLanes);
+  std::atomic<unsigned> calls{0};
+  EXPECT_THROW(pool.run_indexed(kPoolLanes,
+                                [&](unsigned i) {
+                                  calls.fetch_add(1);
+                                  if (i == 2) throw std::runtime_error("lane");
+                                }),
+               std::runtime_error);
+  calls.store(0);
+  pool.run_indexed(kPoolLanes, [&](unsigned) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), kPoolLanes);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // SMP substrate tests: seeded-schedule determinism, single-CPU bit identity,
 // gang placement of CLONE_VM threads, non-gang slice locking + shootdowns,
-// and cross-CPU signal delivery through the mailbox.
+// cross-CPU signal delivery through the mailbox, and host-timing
+// independence with phases forced onto host lanes.
 //
 // The determinism oracle is a full run fingerprint: per-tid syscall traces
 // (captured by a thread-safe syscall observer), per-task cycle/instruction
@@ -9,12 +10,18 @@
 // seed must change placement. All comparisons are integer-exact.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "apps/webserver.hpp"
+#include "base/rng.hpp"
+#include "base/thread_pool.hpp"
+#include "interpose/handler.hpp"
 #include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
 
@@ -29,11 +36,15 @@ struct SmpFixture {
   std::vector<int> listeners;
   std::vector<Tid> tids;
 
-  explicit SmpFixture(unsigned workers, std::uint64_t requests_each = 30) {
+  explicit SmpFixture(
+      unsigned workers, std::uint64_t requests_each = 30,
+      scenario::Mechanism mechanism = scenario::Mechanism::Kind::kNative,
+      std::shared_ptr<interpose::SyscallHandler> handler = nullptr) {
     const scenario::Scenario spec{
         scenario::Web{apps::nginx_profile(), workers, 1024, 4, requests_each,
-                      /*shared_listener=*/false}};
-    auto instance = scenario::build(spec, machine, nullptr);
+                      /*shared_listener=*/false},
+        std::move(mechanism)};
+    auto instance = scenario::build(spec, machine, std::move(handler));
     EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
     if (!instance.is_ok()) return;
     listeners = instance.value().listeners;
@@ -178,6 +189,115 @@ TEST(SmpDeterminismTest, FourCpuMatchesSingleCpuPerTaskWork) {
     EXPECT_EQ(a->insns_retired, b->insns_retired) << "tid " << tid;
     EXPECT_EQ(a->syscalls_dispatched, b->syscalls_dispatched) << "tid " << tid;
     EXPECT_EQ(a->exit_code, b->exit_code) << "tid " << tid;
+  }
+}
+
+// A pass-through handler that records which host threads ran guest
+// syscalls and, when `perturb` is set, sleeps 0-200 us on a seeded quarter
+// of them and yields on an eighth. The draw hashes (seed, tid, the task's
+// syscall count), so it does not depend on which lane runs first. Sleeps
+// make runs of phases long enough to go to host lanes; host timing must
+// never reach the simulation.
+class HostJitterHandler final : public interpose::SyscallHandler {
+ public:
+  HostJitterHandler(std::uint64_t seed, bool perturb)
+      : seed_(seed), perturb_(perturb) {}
+
+  std::uint64_t handle(interpose::InterposeContext& ctx) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    if (perturb_) {
+      const kern::Task& task = ctx.task();
+      Xoshiro256 draw(seed_ ^ (0x9E3779B97F4A7C15ULL * task.tid) ^
+                      (task.syscalls_dispatched << 32));
+      switch (draw.next_below(8)) {
+        case 0:
+        case 1:
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(draw.next_below(201)));
+          break;
+        case 2:
+          std::this_thread::yield();
+          break;
+        default:
+          break;
+      }
+    }
+    return ctx.pass_through();
+  }
+  [[nodiscard]] std::string name() const override { return "host-jitter"; }
+
+  [[nodiscard]] std::size_t host_threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_.size();
+  }
+
+ private:
+  const std::uint64_t seed_;
+  const bool perturb_;
+  std::mutex mu_;
+  std::set<std::thread::id> threads_;  // guarded by mu_
+};
+
+// What a run computes (placement, per-CPU steps, cycles, per-task work) and
+// how the host ran it.
+struct JitterRun {
+  std::vector<std::pair<Tid, unsigned>> placement;
+  std::vector<std::uint64_t> cpu_steps;
+  std::uint64_t total_cycles = 0;
+  std::map<Tid, TaskDigest> tasks;
+  std::uint64_t completed = 0;
+  std::uint64_t parallel_phases = 0;
+  std::size_t host_threads = 0;
+};
+
+JitterRun run_jittered(std::uint64_t seed, bool perturb) {
+  auto handler = std::make_shared<HostJitterHandler>(seed, perturb);
+  SmpFixture f(6, 30, scenario::Mechanism::Kind::kLazypoline, handler);
+  SmpConfig config;
+  config.cpus = 4;
+  config.seed = seed;
+  const SmpStats stats = f.machine.run_smp(config);
+  EXPECT_TRUE(stats.all_exited) << f.machine.last_fatal();
+
+  JitterRun run;
+  run.placement = stats.placement;
+  for (const CpuStats& cpu : stats.cpus) run.cpu_steps.push_back(cpu.steps);
+  run.total_cycles = f.machine.total_cycles();
+  for (Tid tid : f.machine.task_ids()) {
+    const Task* task = f.machine.find_task(tid);
+    run.tasks[tid] = TaskDigest{task->cycles, task->insns_retired,
+                                task->syscalls_dispatched, task->exit_code};
+  }
+  run.completed = f.completed();
+  run.parallel_phases = stats.host_parallel_phases;
+  run.host_threads = handler->host_threads();
+  return run;
+}
+
+// Short phases run inline on the calling thread, so without this test the
+// sanitizer build's SMP runs might never start a host lane. Seeded host
+// sleeps push phases onto real concurrent lanes; the simulated result must
+// match the run without them exactly.
+TEST(SmpHostTimingTest, SleepsAndYieldsOnHostLanesLeaveTheRunUnchanged) {
+  if (ThreadPool::host_cores() < 2) {
+    GTEST_SKIP() << "one host core: every phase runs on the calling thread";
+  }
+  for (const std::uint64_t seed : {7u, 8u}) {
+    const JitterRun calm = run_jittered(seed, /*perturb=*/false);
+    const JitterRun jittered = run_jittered(seed, /*perturb=*/true);
+    EXPECT_EQ(calm.completed, 6u * 30u);
+    EXPECT_EQ(jittered.placement, calm.placement) << "seed " << seed;
+    EXPECT_EQ(jittered.cpu_steps, calm.cpu_steps) << "seed " << seed;
+    EXPECT_EQ(jittered.total_cycles, calm.total_cycles) << "seed " << seed;
+    EXPECT_EQ(jittered.tasks, calm.tasks) << "seed " << seed;
+    EXPECT_EQ(jittered.completed, calm.completed) << "seed " << seed;
+    EXPECT_GT(jittered.parallel_phases, 0u) << "seed " << seed;
+    EXPECT_GE(jittered.host_threads, 2u)
+        << "seed " << seed << ": guest syscalls ran on one host thread in "
+        << jittered.parallel_phases << " parallel phases";
   }
 }
 
