@@ -256,9 +256,10 @@ int run_smp_mode(unsigned cpus, const std::string& json_path) {
   bench::write_json_report(json_path, "fig5_smp", rows, cpus);
 
   int status = 0;
-  // Gate on every host: SMP is never slower than the serial run. Phases too
-  // short to pay for host lanes run on the calling thread, so even a host
-  // with one core's throughput meets it.
+  // Gate on every host: SMP is at most 10% slower than the serial run.
+  // Phases run on host lanes only while lanes measure clearly cheaper than
+  // the calling thread, so a host with one core's throughput runs nearly all
+  // of them inline and reads about 1x.
   constexpr double kMinSpeedup = 0.9;
   if (speedup < kMinSpeedup) {
     std::fprintf(stderr, "FAIL: host speedup %.2fx < %.1fx at %u CPUs\n",

@@ -4,6 +4,7 @@
 // harnesses with per-component numbers.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -298,11 +299,12 @@ void BM_MachineStraightLineTracedDisabled(benchmark::State& state) {
 BENCHMARK(BM_MachineStraightLineTracedDisabled);
 
 // The cost of one SMP barrier phase with nothing to do: an empty 4-lane
-// ThreadPool::run_indexed, against the same four calls made inline. The
-// back-to-back variant finds the workers still spinning from the previous
-// phase; the parked variant lets them park first (untimed), so it prices
-// the wake-up and final wait that src/kernel/smp.cpp's kMinParallelPhase
-// must pay for.
+// ThreadPool::run_indexed, against the same four calls made inline. In an
+// empty phase the caller may finish every call before a worker wakes, so
+// the all-lanes variant makes each call wait until all four have started,
+// with the workers parked beforehand (1 ms untimed sleep): it prices the
+// wake-up and final wait W that a phase with work on every lane pays, which
+// sets src/kernel/lane_picker.hpp's floor for trying lanes.
 constexpr unsigned kPhaseLanes = 4;
 
 void BM_ThreadPoolPhaseInline(benchmark::State& state) {
@@ -328,20 +330,23 @@ void BM_ThreadPoolPhase(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadPoolPhase)->UseRealTime();
 
-void BM_ThreadPoolPhaseParked(benchmark::State& state) {
+void BM_ThreadPoolPhaseAllLanes(benchmark::State& state) {
   ThreadPool pool(kPhaseLanes);
-  const std::function<void(unsigned)> fn = [](unsigned i) {
-    benchmark::DoNotOptimize(i);
+  std::atomic<unsigned> started{0};
+  const std::function<void(unsigned)> fn = [&](unsigned) {
+    started.fetch_add(1);
+    while (started.load() < kPhaseLanes) std::this_thread::yield();
   };
   for (auto _ : state) {
     state.PauseTiming();
+    started.store(0);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     state.ResumeTiming();
     pool.run_indexed(kPhaseLanes, fn);
   }
 }
 // Each iteration sleeps 1 ms untimed, so the count is fixed.
-BENCHMARK(BM_ThreadPoolPhaseParked)->UseRealTime()->Iterations(500);
+BENCHMARK(BM_ThreadPoolPhaseAllLanes)->UseRealTime()->Iterations(500);
 
 }  // namespace
 

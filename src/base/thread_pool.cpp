@@ -4,36 +4,6 @@
 
 namespace lzp {
 
-namespace {
-
-// Polls of an atomic before a lane parks in std::atomic::wait. Short: on a
-// host with fewer free cores than lanes, a spinning lane takes time from
-// the lanes that have work.
-constexpr int kSpinPolls = 256;
-
-void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
-}
-
-// Waits until `value` no longer holds `old`: spin, then park.
-template <typename T>
-T await_change(const std::atomic<T>& value, T old) noexcept {
-  for (int poll = 0; poll < kSpinPolls; ++poll) {
-    const T now = value.load(std::memory_order_acquire);
-    if (now != old) return now;
-    cpu_relax();
-  }
-  for (;;) {
-    value.wait(old, std::memory_order_acquire);
-    const T now = value.load(std::memory_order_acquire);
-    if (now != old) return now;
-  }
-}
-
-}  // namespace
-
 ThreadPool::ThreadPool(unsigned lanes) : lanes_(lanes == 0 ? 1 : lanes) {
   workers_.reserve(lanes_ - 1);
   for (unsigned i = 0; i + 1 < lanes_; ++i) {
@@ -42,9 +12,11 @@ ThreadPool::ThreadPool(unsigned lanes) : lanes_(lanes == 0 ? 1 : lanes) {
 }
 
 ThreadPool::~ThreadPool() {
-  shutdown_.store(true, std::memory_order_relaxed);
-  seq_.fetch_add(1, std::memory_order_release);
-  seq_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
+  }
+  work_ready_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
@@ -59,51 +31,68 @@ void ThreadPool::run_indexed(unsigned n, const std::function<void(unsigned)>& fn
     for (unsigned i = 0; i < n; ++i) fn(i);
     return;
   }
-  job_ = &fn;
-  job_size_ = n;
-  unfinished_.store(n, std::memory_order_relaxed);
-  unclaimed_.store(n, std::memory_order_release);
-  seq_.fetch_add(1, std::memory_order_release);
-  seq_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    job_ = &fn;
+    job_size_ = n;
+    next_index_ = 0;
+    pending_ = 0;
+    ++job_seq_;
+  }
+  work_ready_.notify_all();
   // The caller is a lane too: drain indices alongside the workers, then wait
   // for the stragglers.
-  drain();
-  unsigned left = unfinished_.load(std::memory_order_acquire);
-  while (left != 0) left = await_change(unfinished_, left);
-  if (failed_.load(std::memory_order_relaxed)) {
-    failed_.store(false, std::memory_order_relaxed);
-    std::rethrow_exception(std::exchange(error_, nullptr));
-  }
+  drain_current_job();
+  std::unique_lock<std::mutex> lock(mu_);
+  job_done_.wait(lock, [this] { return job_ == nullptr && pending_ == 0; });
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
-void ThreadPool::drain() {
-  unsigned unclaimed = unclaimed_.load(std::memory_order_acquire);
-  while (unclaimed != 0) {
-    if (!unclaimed_.compare_exchange_weak(unclaimed, unclaimed - 1,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      continue;  // `unclaimed` was reloaded
+bool ThreadPool::drain_current_job() {
+  for (;;) {
+    const std::function<void(unsigned)>* job = nullptr;
+    unsigned index = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (job_ == nullptr || next_index_ >= job_size_) return false;
+      job = job_;
+      index = next_index_++;
+      ++pending_;
     }
+    std::exception_ptr error;
     try {
-      (*job_)(job_size_ - unclaimed);
+      (*job)(index);
     } catch (...) {
-      if (!failed_.exchange(true, std::memory_order_relaxed)) {
-        error_ = std::current_exception();
+      error = std::current_exception();
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --pending_;
+      if (error) {
+        if (!error_) error_ = std::move(error);
+        next_index_ = job_size_;  // skip the indices not yet started
+      }
+      if (next_index_ >= job_size_ && pending_ == 0) {
+        job_ = nullptr;
+        job_done_.notify_all();
+        return true;
       }
     }
-    if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      unfinished_.notify_one();
-    }
-    unclaimed = unclaimed_.load(std::memory_order_acquire);
   }
 }
 
 void ThreadPool::worker_loop() {
-  std::uint32_t seen = 0;
+  std::uint64_t seen_seq = 0;
   for (;;) {
-    seen = await_change(seq_, seen);
-    if (shutdown_.load(std::memory_order_relaxed)) return;
-    drain();
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_ready_.wait(lock, [this, seen_seq] {
+        return shutdown_ || (job_ != nullptr && job_seq_ != seen_seq);
+      });
+      if (shutdown_) return;
+      seen_seq = job_seq_;
+    }
+    drain_current_job();
   }
 }
 

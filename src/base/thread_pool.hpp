@@ -6,19 +6,13 @@
 // thousands of barrier rounds a run performs; the caller participates as
 // one of the lanes so a pool of size N uses N-1 spawned threads and an
 // N-CPU machine on an N-core host leaves no core idle.
-//
-// Synchronization is atomics rather than a mutex and condition variables:
-// a count of unclaimed indices that lanes take from with a
-// compare-exchange, and a count of unfinished indices the caller waits on.
-// An idle worker spins briefly on the job sequence number (back-to-back
-// phases then start without a system call), then parks in
-// std::atomic::wait.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -52,36 +46,23 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  // Claims and runs indices of the posted job until none are unclaimed.
-  void drain();
+  // Pulls indices from the current job until none remain. Returns true if
+  // this call completed the job's last index.
+  bool drain_current_job();
 
   const unsigned lanes_;
+  std::vector<std::thread> workers_;
 
-  // The posted job. Written by run_indexed before it publishes
-  // `unclaimed_`, read by a lane only after it claimed an index, and not
-  // rewritten until every claimed index has finished.
-  const std::function<void(unsigned)>* job_ = nullptr;
+  std::mutex mu_;
+  std::condition_variable work_ready_;
+  std::condition_variable job_done_;
+  const std::function<void(unsigned)>* job_ = nullptr;  // null: no job posted
   unsigned job_size_ = 0;
-  // Indices of the posted job no lane has claimed; a lane claims the next
-  // one by decrementing it with a compare-exchange. It leaves zero only
-  // when run_indexed posts a job, so a lane still leaving job k that finds
-  // an index unclaimed has found one of job k+1, which is already written.
-  std::atomic<unsigned> unclaimed_{0};
-  // Indices not yet finished; the caller waits for zero. Each lane's
-  // decrement releases what its calls wrote.
-  std::atomic<unsigned> unfinished_{0};
-  // Job sequence number, bumped per job and at shutdown; idle workers wait
-  // on it.
-  std::atomic<std::uint32_t> seq_{0};
-  std::atomic<bool> shutdown_{false};
-
-  // The first exception a call of the current job threw: written only by
-  // the lane that flips `failed_`, read by the caller once nothing is
-  // unfinished.
-  std::atomic<bool> failed_{false};
-  std::exception_ptr error_;
-
-  std::vector<std::thread> workers_;  // last: started after the state above
+  unsigned next_index_ = 0;
+  unsigned pending_ = 0;       // indices handed out but not yet finished
+  std::uint64_t job_seq_ = 0;  // bumped per job so workers never re-run one
+  std::exception_ptr error_;   // the job's first exception
+  bool shutdown_ = false;
 };
 
 }  // namespace lzp

@@ -165,9 +165,10 @@ class Machine {
   RunStats run(std::uint64_t max_total_insns = kDefaultInsnBudget);
   // Multi-CPU execution (kernel/smp.hpp, implemented in smp.cpp): places
   // tasks onto config.cpus simulated CPUs and runs their queues between
-  // deterministic barriers, on host lanes when a phase is long enough to pay
-  // for them and on the calling thread otherwise. config.cpus <= 1 delegates
-  // to run() — bit-identical to the single-threaded engine by construction.
+  // deterministic barriers, on host lanes when they measure cheaper than the
+  // calling thread and on the calling thread otherwise. config.cpus <= 1
+  // delegates to run() — bit-identical to the single-threaded engine by
+  // construction.
   // Replay (schedule hook / slice observers) and insn observers are
   // incompatible with batching across CPUs and must not be armed.
   SmpStats run_smp(const SmpConfig& config,

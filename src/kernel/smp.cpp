@@ -16,6 +16,7 @@
 #include <optional>
 
 #include "base/thread_pool.hpp"
+#include "kernel/lane_picker.hpp"
 #include "kernel/machine.hpp"
 
 namespace lzp::kern {
@@ -53,20 +54,22 @@ struct alignas(64) Lane {
   std::uint64_t slices = 0;
 };
 
-// A parallel phase goes to host lanes only after the previous
-// kLongPhasesBeforeLanes phases each took at least kMinParallelPhase on the
-// host; other phases run inline on the calling thread. Waking parked lanes
-// and waiting for the last one costs W = 15-22 us on a 4-vCPU 2.1 GHz host:
-// an empty 4-lane phase with parked lanes (gbench_micro
-// BM_ThreadPoolPhaseParked; the same four calls made inline take ~7 ns). A
-// phase of T spread over L cores takes about T/L + W, which beats T once
-// T > W * L/(L-1): 20-29 us at L = 4, 30-44 us at L = 2. One long phase
-// predicts little: the first two of a run fill cold caches, and a host
-// preemption stretches a single phase, while starting the lanes for it costs
-// ~100 us. Which host thread runs a lane never changes a simulated result, so
-// this decides host time only.
-constexpr std::chrono::nanoseconds kMinParallelPhase{50'000};
-constexpr unsigned kLongPhasesBeforeLanes = 3;
+// Host lanes and what run_smp learned about them outlive a call: starting
+// three workers and joining them costs ~40 us and ~100 us on a 4-vCPU
+// host, and a losing lanes trial a few percent, of a short run. One call at
+// a time uses the process's lanes; a call made while another holds them
+// starts its own.
+struct SharedLanes {
+  std::mutex mu;
+  std::optional<ThreadPool> pool;  // guarded by mu
+  std::mutex picker_mu;
+  LanePicker picker;  // guarded by picker_mu: as the last call left it
+};
+
+SharedLanes& shared_lanes() {
+  static SharedLanes lanes;
+  return lanes;
+}
 
 constexpr std::uint64_t kSmpIdBase = 1'000'000;
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
@@ -276,12 +279,21 @@ SmpStats Machine::run_smp(const SmpConfig& config,
     register_slice_locks();
   }
 
-  // Host lanes: at most one per host core, since more lanes than cores only
-  // timeshare. Built on the first phase that goes parallel, so a run whose
-  // phases all run inline starts no threads.
-  const unsigned max_lanes = std::min(cpus, ThreadPool::host_cores());
-  std::optional<ThreadPool> pool;
-  unsigned long_phases = 0;  // consecutive phases >= kMinParallelPhase
+  // Host lanes: one per host core, since more lanes than cores only
+  // timeshare; a phase keeps at most min(cpus, host_cores) of them busy.
+  // Started on the first phase that goes parallel, so a process whose phases
+  // all run inline starts no threads.
+  const bool lanes_possible = cpus >= 2 && ThreadPool::host_cores() >= 2;
+  std::unique_lock<std::mutex> shared_lock(shared_lanes().mu,
+                                           std::defer_lock);
+  std::optional<ThreadPool> own_pool;
+  ThreadPool* pool = nullptr;
+  LanePicker picker;
+  {
+    std::lock_guard<std::mutex> lock(shared_lanes().picker_mu);
+    picker = shared_lanes().picker;
+  }
+  picker.start_run();
   std::vector<Lane> lanes(cpus);
 
   // Each index is one simulated CPU draining its own queue. The budget
@@ -318,6 +330,13 @@ SmpStats Machine::run_smp(const SmpConfig& config,
   // round's per-CPU deltas rather than running totals.
   std::vector<std::uint64_t> prev_steps(cpus, 0);
   std::vector<std::uint64_t> prev_slices(cpus, 0);
+  // The picker's current window: its first barrier's host time, the lane
+  // steps before it and its phases so far. Read only if lanes are possible.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point window_start;
+  if (lanes_possible) window_start = Clock::now();
+  std::uint64_t window_steps = 0;
+  unsigned window_phases = 0;
   smp_active_ = true;
   while (total_steps_ < deadline) {
     const auto busy_cpus =
@@ -328,22 +347,25 @@ SmpStats Machine::run_smp(const SmpConfig& config,
     if (busy_cpus == 0) break;
 
     // --- parallel phase ---------------------------------------------------
-    // On host lanes when at least two CPUs have work and the last phases
-    // were long enough to pay for the barrier; else lanes 0..cpus-1 in index
-    // order on this thread.
-    const auto phase_start = std::chrono::steady_clock::now();
-    if (busy_cpus >= 2 && max_lanes >= 2 &&
-        long_phases >= kLongPhasesBeforeLanes) {
-      if (!pool) pool.emplace(max_lanes);
+    // On host lanes when at least two CPUs have work and the picker finds
+    // lanes cheaper; else lanes 0..cpus-1 in index order on this thread.
+    const bool on_lanes = busy_cpus >= 2 && picker.lanes();
+    if (on_lanes) {
+      if (pool == nullptr) {
+        std::optional<ThreadPool>& lanes_pool =
+            shared_lock.try_lock() ? shared_lanes().pool : own_pool;
+        if (!lanes_pool) {
+          lanes_pool.emplace(ThreadPool::host_cores());
+          window_start = Clock::now();  // starting threads is not phase time
+        }
+        pool = &*lanes_pool;
+      }
       pool->run_indexed(cpus, run_lane);
       ++out.host_parallel_phases;
     } else {
       for (unsigned c = 0; c < cpus; ++c) run_lane(c);
       ++out.host_inline_phases;
     }
-    const bool long_phase =
-        std::chrono::steady_clock::now() - phase_start >= kMinParallelPhase;
-    long_phases = long_phase ? long_phases + 1 : 0;
     ++out.barriers;
 
     // --- serial phase -----------------------------------------------------
@@ -351,6 +373,15 @@ SmpStats Machine::run_smp(const SmpConfig& config,
     for (const Lane& lane : lanes) lane_steps += lane.steps;
     total_steps_ = deadline - max_total_steps + lane_steps;
     reconcile_counters();
+
+    if (lanes_possible && ++window_phases == picker.window()) {
+      const auto now = Clock::now();
+      picker.record(on_lanes, window_phases, now - window_start,
+                    lane_steps - window_steps);
+      window_start = now;
+      window_steps = lane_steps;
+      window_phases = 0;
+    }
 
     // Cross-CPU signals: drained in (target, sender, seq) order — the
     // deterministic stand-in for IPI arrival order.
@@ -450,6 +481,10 @@ SmpStats Machine::run_smp(const SmpConfig& config,
     }
   }
   smp_active_ = false;
+  if (lanes_possible) {
+    std::lock_guard<std::mutex> lock(shared_lanes().picker_mu);
+    shared_lanes().picker = picker;
+  }
 
   // Final reconciliation covers the last partial round.
   merge_nursery();

@@ -14,9 +14,9 @@
 //
 // A parallel phase runs its lanes on a host thread pool (at most one lane per
 // host core, started on first use) only when at least two CPUs have work and
-// the last few phases each took long enough to pay for waking the lanes and
-// waiting for them; otherwise the calling thread runs lanes 0..cpus-1 in
-// order. Which host thread runs a lane never changes a simulated result.
+// the lanes have measured clearly cheaper per guest step than running inline
+// on this host; otherwise the calling thread runs lanes 0..cpus-1 in order.
+// Which host thread runs a lane never changes a simulated result.
 //
 // Determinism: with gang placement (default), tasks sharing an address space
 // or a process land on the same CPU, so all sharing-dependent execution is

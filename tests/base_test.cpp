@@ -430,7 +430,7 @@ TEST(ThreadPoolTest, DestructorJoinsParkedWorkers) {
   {
     ThreadPool pool(kPoolLanes);
     pool.run_indexed(kPoolLanes, [&](unsigned) { calls.fetch_add(1); });
-    // Long past the workers' spin: they are parked when the pool dies.
+    // The workers are idle, waiting for a job, when the pool dies.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_EQ(calls.load(), kPoolLanes);

@@ -1,7 +1,8 @@
 // SMP substrate tests: seeded-schedule determinism, single-CPU bit identity,
 // gang placement of CLONE_VM threads, non-gang slice locking + shootdowns,
-// cross-CPU signal delivery through the mailbox, and host-timing
-// independence with phases forced onto host lanes.
+// cross-CPU signal delivery through the mailbox, host-timing independence
+// with phases pushed onto host lanes, and the lane picker's choices on
+// scripted host times.
 //
 // The determinism oracle is a full run fingerprint: per-tid syscall traces
 // (captured by a thread-safe syscall observer), per-task cycle/instruction
@@ -10,6 +11,7 @@
 // seed must change placement. All comparisons are integer-exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
 #include "interpose/handler.hpp"
+#include "kernel/lane_picker.hpp"
 #include "scenario/scenario.hpp"
 #include "sim_test_util.hpp"
 
@@ -193,8 +196,8 @@ TEST(SmpDeterminismTest, FourCpuMatchesSingleCpuPerTaskWork) {
 }
 
 // A pass-through handler that records which host threads ran guest
-// syscalls and, when `perturb` is set, sleeps 0-200 us on a seeded quarter
-// of them and yields on an eighth. The draw hashes (seed, tid, the task's
+// syscalls and, when `perturb` is set, sleeps 0-200 us on a seeded half of
+// them and yields on an eighth. The draw hashes (seed, tid, the task's
 // syscall count), so it does not depend on which lane runs first. Sleeps
 // make runs of phases long enough to go to host lanes; host timing must
 // never reach the simulation.
@@ -215,10 +218,12 @@ class HostJitterHandler final : public interpose::SyscallHandler {
       switch (draw.next_below(8)) {
         case 0:
         case 1:
+        case 2:
+        case 3:
           std::this_thread::sleep_for(
               std::chrono::microseconds(draw.next_below(201)));
           break;
-        case 2:
+        case 4:
           std::this_thread::yield();
           break;
         default:
@@ -277,28 +282,184 @@ JitterRun run_jittered(std::uint64_t seed, bool perturb) {
   return run;
 }
 
-// Short phases run inline on the calling thread, so without this test the
-// sanitizer build's SMP runs might never start a host lane. Seeded host
-// sleeps push phases onto real concurrent lanes; the simulated result must
-// match the run without them exactly.
+// Phases run on host lanes only while lanes measure cheaper than the
+// calling thread, so without this test the sanitizer build's SMP runs might
+// never start a host lane. Seeded host sleeps make phases long enough for
+// lanes to be tried, and sleeps overlap on lanes, so phases go to real
+// concurrent lanes; the simulated result must match the run without them
+// exactly. The picker's wait before a trial carries over from earlier runs
+// in the process, so the perturbed run repeats until lanes were tried.
 TEST(SmpHostTimingTest, SleepsAndYieldsOnHostLanesLeaveTheRunUnchanged) {
   if (ThreadPool::host_cores() < 2) {
     GTEST_SKIP() << "one host core: every phase runs on the calling thread";
   }
+  constexpr int kMaxJitteredRuns = 8;
   for (const std::uint64_t seed : {7u, 8u}) {
     const JitterRun calm = run_jittered(seed, /*perturb=*/false);
-    const JitterRun jittered = run_jittered(seed, /*perturb=*/true);
     EXPECT_EQ(calm.completed, 6u * 30u);
-    EXPECT_EQ(jittered.placement, calm.placement) << "seed " << seed;
-    EXPECT_EQ(jittered.cpu_steps, calm.cpu_steps) << "seed " << seed;
-    EXPECT_EQ(jittered.total_cycles, calm.total_cycles) << "seed " << seed;
-    EXPECT_EQ(jittered.tasks, calm.tasks) << "seed " << seed;
-    EXPECT_EQ(jittered.completed, calm.completed) << "seed " << seed;
+    JitterRun jittered;
+    for (int run = 0; run < kMaxJitteredRuns && jittered.parallel_phases == 0;
+         ++run) {
+      jittered = run_jittered(seed, /*perturb=*/true);
+      EXPECT_EQ(jittered.placement, calm.placement) << "seed " << seed;
+      EXPECT_EQ(jittered.cpu_steps, calm.cpu_steps) << "seed " << seed;
+      EXPECT_EQ(jittered.total_cycles, calm.total_cycles) << "seed " << seed;
+      EXPECT_EQ(jittered.tasks, calm.tasks) << "seed " << seed;
+      EXPECT_EQ(jittered.completed, calm.completed) << "seed " << seed;
+    }
     EXPECT_GT(jittered.parallel_phases, 0u) << "seed " << seed;
     EXPECT_GE(jittered.host_threads, 2u)
         << "seed " << seed << ": guest syscalls ran on one host thread in "
         << jittered.parallel_phases << " parallel phases";
   }
+}
+
+// --- lane picker: scripted host times ----------------------------------------
+
+constexpr std::uint64_t kPhaseSteps = 1000;
+// A phase long enough to try lanes on, at 100 ns per guest step inline.
+constexpr std::chrono::nanoseconds kLongPhase{100 * kPhaseSteps};
+
+// Records long inline phases until the picker asks for lanes; returns how
+// many it took (or `limit` if it never asked).
+unsigned inline_phases_until_trial(LanePicker& picker, unsigned limit) {
+  for (unsigned n = 1; n <= limit; ++n) {
+    picker.record(false, 1, kLongPhase, kPhaseSteps);
+    if (picker.lanes()) return n;
+  }
+  return limit;
+}
+
+// Runs one trial, kTrialWarmup + 1 phases taking `host` each, in the mode
+// the picker asked for; it must keep asking for that mode to the end.
+void run_trial(LanePicker& picker, std::chrono::nanoseconds host) {
+  const bool on_lanes = picker.lanes();
+  for (unsigned i = 0; i <= LanePicker::kTrialWarmup; ++i) {
+    ASSERT_EQ(picker.lanes(), on_lanes) << "trial phase " << i;
+    picker.record(on_lanes, 1, host, kPhaseSteps);
+  }
+}
+
+TEST(LanePickerTest, ShortPhasesNeverTryLanes) {
+  LanePicker picker;
+  const unsigned window = LanePicker::kShortWindow;
+  const auto short_window = window * LanePicker::kMinParallelPhase / 2;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(picker.window(), window);
+    picker.record(false, window, short_window, window * kPhaseSteps);
+    ASSERT_FALSE(picker.lanes());
+  }
+}
+
+TEST(LanePickerTest, ClearlyCheaperLanesTakeOverAndKeepWinning) {
+  LanePicker picker;
+  EXPECT_EQ(inline_phases_until_trial(picker, 100), LanePicker::kMinSpan);
+  EXPECT_EQ(picker.window(), 1u);
+  // Lanes at half the inline cost win; inline is retried after kMinSpan
+  // lanes phases, loses, and waits twice as long for the next trial.
+  run_trial(picker, kLongPhase / 2);
+  unsigned span = LanePicker::kMinSpan;
+  for (int trial = 0; trial < 3; ++trial) {
+    for (unsigned i = 0; i < span; ++i) {
+      ASSERT_TRUE(picker.lanes()) << "trial " << trial << " phase " << i;
+      picker.record(true, 1, kLongPhase / 2, kPhaseSteps);
+    }
+    ASSERT_FALSE(picker.lanes()) << "inline not retried, trial " << trial;
+    run_trial(picker, kLongPhase);
+    span *= 2;
+  }
+  EXPECT_TRUE(picker.lanes());
+}
+
+TEST(LanePickerTest, LanesThatAreNotClearlyCheaperBackOff) {
+  LanePicker picker;
+  ASSERT_EQ(inline_phases_until_trial(picker, 100), LanePicker::kMinSpan);
+  // 90% of the inline cost is within noise: lanes lose, and each loss
+  // doubles the wait for the next trial up to kMaxSpan.
+  unsigned span = LanePicker::kMinSpan;
+  for (int trial = 0; trial < 12; ++trial) {
+    run_trial(picker, kLongPhase * 9 / 10);
+    ASSERT_FALSE(picker.lanes());
+    span = std::min(2 * span, LanePicker::kMaxSpan);
+    ASSERT_EQ(inline_phases_until_trial(picker, 10 * LanePicker::kMaxSpan),
+              span)
+        << "trial " << trial;
+  }
+}
+
+// Switching costs: the first phases on newly woken lanes (cold caches on
+// other cores) are slow, so a trial is judged by its phase after them.
+TEST(LanePickerTest, TrialWarmupPhasesAreNotCompared) {
+  LanePicker picker;
+  ASSERT_EQ(inline_phases_until_trial(picker, 100), LanePicker::kMinSpan);
+  for (unsigned i = 0; i < LanePicker::kTrialWarmup; ++i) {
+    picker.record(true, 1, 3 * kLongPhase, kPhaseSteps);
+    ASSERT_TRUE(picker.lanes()) << "warm-up phase " << i << " ended the trial";
+  }
+  picker.record(true, 1, kLongPhase / 2, kPhaseSteps);
+  EXPECT_TRUE(picker.lanes());
+}
+
+TEST(LanePickerTest, PhasesTurningShortGoBackInline) {
+  LanePicker picker;
+  ASSERT_EQ(inline_phases_until_trial(picker, 100), LanePicker::kMinSpan);
+  while (picker.lanes()) picker.record(true, 1, kLongPhase / 4, kPhaseSteps);
+  // Phases shrink to half the floor: inline wins its trial, the running
+  // mean drops below the floor after a few phases, and the clock is then
+  // read once per kShortWindow phases.
+  const auto short_phase = LanePicker::kMinParallelPhase / 2;
+  int short_phases = 0;
+  while (picker.window() == 1 && short_phases < 100) {
+    picker.record(false, 1, short_phase, kPhaseSteps);
+    EXPECT_FALSE(picker.lanes());
+    ++short_phases;
+  }
+  EXPECT_GT(short_phases, 1) << "one short phase flipped the running mean";
+  EXPECT_EQ(picker.window(), LanePicker::kShortWindow);
+  // The short stretch does not restart the wait for the next lanes trial.
+  EXPECT_LE(inline_phases_until_trial(picker, 100), LanePicker::kMinSpan);
+}
+
+// What one run learned carries into the next: lanes that won are back after
+// the new run's first long phases have been compared with them, and the
+// doubled wait of lanes that lost is not restarted.
+TEST(LanePickerTest, ANewRunKeepsWhatTheLastLearned) {
+  LanePicker winner;
+  ASSERT_EQ(inline_phases_until_trial(winner, 100), LanePicker::kMinSpan);
+  run_trial(winner, kLongPhase / 2);
+  ASSERT_TRUE(winner.lanes());
+  winner.start_run();
+  EXPECT_FALSE(winner.lanes());
+  EXPECT_EQ(winner.window(), LanePicker::kShortWindow);
+  unsigned windows = 0;
+  while (!winner.lanes() && windows < 100) {
+    const unsigned phases = winner.window();
+    winner.record(false, phases, phases * kLongPhase, phases * kPhaseSteps);
+    ++windows;
+  }
+  EXPECT_EQ(windows, LanePicker::kTrialWarmup + 1);
+
+  LanePicker loser;
+  ASSERT_EQ(inline_phases_until_trial(loser, 100), LanePicker::kMinSpan);
+  run_trial(loser, kLongPhase);
+  ASSERT_EQ(inline_phases_until_trial(loser, 5), 5u);  // wait: 2 * kMinSpan
+  loser.start_run();
+  EXPECT_EQ(inline_phases_until_trial(loser, 100),
+            2 * LanePicker::kMinSpan - 5);
+}
+
+// Bursty phases, as when a few syscalls block on the host: one long phase,
+// then one barely any work. The running mean stays long, so lanes are tried.
+TEST(LanePickerTest, BurstyPhasesStillTryLanes) {
+  LanePicker picker;
+  unsigned windows = 0;
+  while (!picker.lanes() && windows < 100) {
+    const auto host = windows % 2 == 0 ? 5 * kLongPhase : kLongPhase / 50;
+    picker.record(false, picker.window(), host, kPhaseSteps);
+    ++windows;
+  }
+  EXPECT_TRUE(picker.lanes());
+  EXPECT_EQ(windows, LanePicker::kMinSpan);
 }
 
 // One 4-thread (CLONE_VM) nginx server under lazypoline, serving 200
