@@ -53,7 +53,8 @@ const Column kSud{"sud", Mechanism::Kind::kSud};
 // the simulator hot loop, and how often the lazypoline/zpoline rewrites
 // invalidated cached state). With the superblock engine on (the default) the
 // hot loop is served by the block cache and the decode cache stays cold; the
-// decode-cache table is the reference-path story under -DLZP_BLOCK_EXEC=OFF.
+// decode-cache table fills only for runs on the reference engine
+// (Machine::block_exec_enabled = false) and for the per-step fallbacks.
 cpu::DecodeCacheStats g_dcache_totals;
 cpu::BlockCacheStats g_bcache_totals;
 

@@ -155,12 +155,10 @@ void BM_MachineStraightLineCached(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineStraightLineCached);
 
-#ifndef LZP_BLOCK_EXEC_DISABLED
 void BM_MachineStraightLineBlock(benchmark::State& state) {
   machine_straight_line(state, /*cache_enabled=*/true, /*block_enabled=*/true);
 }
 BENCHMARK(BM_MachineStraightLineBlock);
-#endif
 
 void BM_BpfMonitoringFilter(benchmark::State& state) {
   const std::uint32_t trapped[] = {101};

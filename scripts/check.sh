@@ -3,8 +3,9 @@
 # except the bench legs, which all run and are then listed if they failed:
 #   1. build with LZP_WERROR=ON, then ctest;
 #   2. sanitizers (--no-sanitize skips): ASan+UBSan over the whole suite,
-#      again with LZP_BLOCK_EXEC=OFF, and TSan over the SMP suites plus a
-#      4-CPU fig5 run;
+#      and TSan over the SMP suites plus a 4-CPU fig5 run. The block engine
+#      is a runtime switch (Machine::block_exec_enabled), so every build runs
+#      both engines: the engine-differential tests compare them in-process;
 #   3. clang-tidy against scripts/clang_tidy_baseline.txt (skipped when not
 #      installed);
 #   4. examples/analyze --gate, examples/policy gate and the policy
@@ -49,12 +50,6 @@ if [[ "${run_sanitize}" == 1 ]]; then
   cmake -B build-asan -S . -DLZP_SANITIZE=ON -DLZP_WERROR=ON >/dev/null
   cmake --build build-asan -j"$(nproc)"
   ctest --test-dir build-asan -j"$(nproc)" --output-on-failure
-
-  echo "== no-block-engine build (LZP_BLOCK_EXEC=OFF, LZP_SANITIZE=ON) =="
-  cmake -B build-noblock -S . -DLZP_BLOCK_EXEC=OFF -DLZP_SANITIZE=ON \
-    -DLZP_WERROR=ON >/dev/null
-  cmake --build build-noblock -j"$(nproc)"
-  ctest --test-dir build-noblock -j"$(nproc)" --output-on-failure
 
   echo "== thread-sanitizer build (LZP_SANITIZE=thread, SMP suites) =="
   cmake -B build-tsan -S . -DLZP_SANITIZE=thread -DLZP_WERROR=ON >/dev/null
@@ -159,11 +154,7 @@ if [[ "${run_bench}" == 1 ]]; then
   # BENCH_{trace,profile,record}_overhead.json and BENCH_policy.json here.
   run_gate "decorator-overhead bench (overhead)" ./build/bench/overhead
 
-  if [[ -x build/bench/block_exec ]]; then
-    run_gate "block-exec bench" ./build/bench/block_exec BENCH_block_exec.json
-  else
-    echo "== block-exec bench skipped (LZP_BLOCK_EXEC=OFF) =="
-  fi
+  run_gate "block-exec bench" ./build/bench/block_exec BENCH_block_exec.json
 
   run_gate "analysis-accuracy bench" \
     ./build/bench/analysis_accuracy BENCH_analysis.json

@@ -174,7 +174,6 @@ void Machine::merge_nursery() {
 }
 
 RunStats Machine::run(std::uint64_t max_total_insns) {
-  RunStats stats;
   // The budget and the per-slice bookkeeping are in *steps* (total_steps_),
   // not retirements: a step always advances it, so host-fn loops and fault
   // storms hit the deadline instead of spinning forever, and every slice —
@@ -195,66 +194,84 @@ RunStats Machine::run(std::uint64_t max_total_insns) {
       note_task_switch(*task);
       run_slice(*task, slice->max_steps);
     }
-    merge_nursery();
-    flush_profile_mirror();
-    stats.insns = total_insns_;
-    stats.all_exited = live_task_count() == 0;
-    return stats;
-  }
-
-  bool any_runnable = true;
-  while (any_runnable && total_steps_ < deadline) {
-    any_runnable = false;
-    for (auto& [tid, task] : tasks_) {
-      if (!task->runnable()) continue;
-      any_runnable = true;
-      const std::uint64_t steps_before = total_steps_;
-      note_task_switch(*task);
-      run_slice(*task, kSliceInsns);
-      if (total_steps_ > steps_before) {
-        slice_observers_.notify(*task, total_steps_ - steps_before);
+  } else {
+    bool any_runnable = true;
+    while (any_runnable && total_steps_ < deadline) {
+      any_runnable = false;
+      for (auto& [tid, task] : tasks_) {
+        if (!task->runnable()) continue;
+        any_runnable = true;
+        const std::uint64_t steps_before = total_steps_;
+        note_task_switch(*task);
+        run_slice(*task, kSliceInsns);
+        if (total_steps_ > steps_before) {
+          slice_observers_.notify(*task, total_steps_ - steps_before);
+        }
+        if (total_steps_ >= deadline) break;
       }
-      if (total_steps_ >= deadline) break;
-    }
-    if (!nursery_.empty()) {
-      merge_nursery();
-      any_runnable = true;
+      if (!nursery_.empty()) {
+        merge_nursery();
+        any_runnable = true;
+      }
     }
   }
+  merge_nursery();
   flush_profile_mirror();
+  RunStats stats;
   stats.insns = total_insns_;
-  stats.all_exited = live_task_count() == 0 && nursery_.empty();
+  stats.all_exited = live_task_count() == 0;
   return stats;
 }
 
 void Machine::run_slice(Task& task, std::uint64_t max_insns) {
-  // The single-threaded entry point counts against the machine-global step
-  // counter; SMP lanes call run_slice_counted with a per-CPU counter instead,
-  // which is what keeps this path bit-identical to the seed engine (replay
-  // reads total_steps_ mid-slice through observer callbacks).
+  // The single-threaded entry point advances the machine-global step counter
+  // directly, so observers that read total_steps_ mid-slice (replay's signal
+  // delivery points) see it move step by step; SMP lanes call
+  // run_slice_counted with a per-CPU counter, merged at barriers.
   run_slice_counted(task, max_insns, total_steps_);
 }
 
 void Machine::run_slice_counted(Task& task, std::uint64_t max_insns,
                                 std::uint64_t& steps) {
   // The budget is in steps: the slice ends after max_insns step-counter
-  // advances (or when the task stops running). The block path consumes
-  // exactly as many steps as a per-instruction run of the same instructions
-  // would, so slice boundaries are identical with the engine on or off.
+  // advances (or when the task stops running). A block run consumes exactly
+  // as many steps as a per-instruction run of the same instructions would,
+  // so slice boundaries are identical with the engine on or off.
   const std::uint64_t start = steps;
   while (steps - start < max_insns) {
-#ifndef LZP_BLOCK_EXEC_DISABLED
-    if (can_batch_execute(task)) {
-      if (const cpu::DecodedBlock* block =
-              task.bcache.lookup_or_build(*task.mem, task.ctx.rip)) {
-        if (!block_step(task, *block, max_insns - (steps - start), steps)) {
-          return;
-        }
-        continue;
-      }
+    const cpu::DecodedBlock* block =
+        can_batch_execute(task)
+            ? task.bcache.lookup_or_build(*task.mem, task.ctx.rip)
+            : nullptr;
+    if (block == nullptr) {
+      if (!step_once(task, steps)) return;
+      continue;
     }
-#endif
-    if (!step_once(task, steps)) return;
+    const cpu::BlockRun run = cpu::run_block(
+        task.ctx, *task.mem, *block, max_insns - (steps - start), &task.dtlb);
+    // Batched accounting. Identical totals to per-instruction stepping: cost
+    // is linear in (retired, nops), the counters are plain sums, and every
+    // executed instruction is one machine step whether it retired or not.
+    steps += run.executed;
+    if (run.retired > 0) {
+      if (!smp_active_) total_insns_ += run.retired;
+      task.insns_retired += run.retired;
+      const std::uint64_t batch_cycles = (run.retired - run.nops) * costs_.insn +
+                                         run.nops * costs_.insn_nop;
+      // Site probe first, then the charge: the sink uses the probe to
+      // establish the site/stack context the charge's on_cycles mirror is
+      // folded under.
+      if (auto* sink = profile_sink()) {
+        sink->on_guest_block(task, block->start, run.retired, batch_cycles);
+      }
+      charge(task, batch_cycles);
+    }
+    if (run.kind == cpu::ExecKind::kSyscall) {
+      syscall_entry_from_sim(task);
+    } else if (run.kind != cpu::ExecKind::kContinue) {
+      dispatch_exit(task, run.kind, run.insn_addr, run.fault, run.last->imm);
+    }
+    if (!task.runnable()) return;
   }
 }
 
@@ -267,105 +284,65 @@ bool Machine::deliverable_signal_pending(const Task& task) noexcept {
   return (bits & ~task.sigmask) != 0;
 }
 
-#ifndef LZP_BLOCK_EXEC_DISABLED
 bool Machine::can_batch_execute(const Task& task) const noexcept {
   // Every condition here names a client that needs per-instruction
   // precision; the per-step path is the reference semantics and anything
-  // that observes or perturbs individual steps gets it. Slice observers are
-  // not among them: they are notified after run_slice returns, and block
+  // that observes or perturbs individual steps gets it. Slice observers and
+  // the replay schedule hook are not among them: observers are notified
+  // after run_slice returns, the hook only sets slice budgets, and block
   // runs end slices on the same step as the per-step path.
-  return block_exec_enabled && insn_observers_.empty() && !schedule_hook_ &&
-         !task.ptraced && !is_host_addr(task.ctx.rip) &&
-         !deliverable_signal_pending(task);
+  return block_exec_enabled && insn_observers_.empty() && !task.ptraced &&
+         !is_host_addr(task.ctx.rip) && !deliverable_signal_pending(task);
 }
 
-void Machine::account_block_run(Task& task, const cpu::DecodedBlock& block,
-                                const cpu::BlockRun& run,
-                                std::uint64_t& steps) {
-  // Batched accounting. Identical totals to per-instruction stepping: cost
-  // is linear in (retired, nops), the counters are plain sums, and every
-  // executed instruction is one machine step whether it retired or not.
-  steps += run.executed;
-  if (run.retired > 0) {
-    if (!smp_active_) total_insns_ += run.retired;
-    task.insns_retired += run.retired;
-    const std::uint64_t batch_cycles = (run.retired - run.nops) * costs_.insn +
-                                       run.nops * costs_.insn_nop;
-    // Site probe first, then the charge: the sink uses the probe to establish
-    // the site/stack context the charge's on_cycles mirror is folded under.
-    if (auto* sink = profile_sink()) {
-      sink->on_guest_block(task, block.start, run.retired, batch_cycles);
-    }
-    charge(task, batch_cycles);
-  }
+bool Machine::call_host(Task& task, std::uint64_t addr, std::uint64_t cycles) {
+  HostBinding* binding = find_host_binding(addr);
+  if (binding == nullptr) return false;
+  // The dispatch and the native function charge under the binding's class:
+  // interposer trampolines by default, guest for app harnesses that model
+  // application compute as host code.
+  ScopedCycleClass scope(task, binding->cls, addr);
+  charge(task, cycles);
+  HostFrame frame{*this, task, task.ctx};
+  binding->fn(frame);
+  return true;
 }
 
-bool Machine::dispatch_block_exit(Task& task, const cpu::BlockRun& run) {
-  // The block's exit reproduces exactly what step_once would have done for
-  // the instruction at run.insn_addr.
-  switch (run.kind) {
+void Machine::dispatch_exit(Task& task, cpu::ExecKind kind,
+                            std::uint64_t insn_addr, const mem::MemFault& fault,
+                            std::int64_t host_index) {
+  auto raise = [&](int signo, std::uint64_t fault_addr) {
+    SigInfo info;
+    info.fault_addr = fault_addr;
+    handle_fault_signal(task, signo, info);
+  };
+  switch (kind) {
     case cpu::ExecKind::kContinue:
-      return task.runnable();
     case cpu::ExecKind::kSyscall:
-      syscall_entry_from_sim(task);
-      return task.runnable();
+      return;  // retiring kinds: the engines handle them
     case cpu::ExecKind::kHostCall: {
+      // A HOSTCALL instruction in simulated code: dispatch to the bound
+      // native function (rip is already past the instruction; the function
+      // may redirect it, e.g. the trampoline's entry performing RET).
       const std::uint64_t addr =
-          kHostRegionBase + 16 * static_cast<std::uint64_t>(run.last->imm);
-      HostBinding* binding = find_host_binding(addr);
-      if (binding == nullptr) {
+          kHostRegionBase + 16 * static_cast<std::uint64_t>(host_index);
+      if (!call_host(task, addr, costs_.insn + costs_.host_glue)) {
         kill_process(*task.process, 139, "HOSTCALL to unbound index");
-        return false;
       }
-      // The dispatch and the native function charge under the binding's
-      // class: interposer trampolines by default, guest for app harnesses
-      // that model application compute as host code.
-      ScopedCycleClass scope(task, binding->cls, addr);
-      charge(task, costs_.insn + costs_.host_glue);
-      HostFrame frame{*this, task, task.ctx};
-      binding->fn(frame);
-      return task.runnable();
+      return;
     }
     case cpu::ExecKind::kHlt:
-      exit_process(task, 0);
-      return false;
-    case cpu::ExecKind::kTrap: {
-      SigInfo info;
-      info.signo = kSigtrap;
-      handle_fault_signal(task, kSigtrap, info);
-      return task.runnable();
-    }
-    case cpu::ExecKind::kMemFault: {
-      SigInfo info;
-      info.signo = kSigsegv;
-      info.fault_addr = run.fault.address;
-      handle_fault_signal(task, kSigsegv, info);
-      return task.runnable();
-    }
-    case cpu::ExecKind::kDivideError: {
-      SigInfo info;
-      info.signo = kSigfpe;
-      info.fault_addr = run.insn_addr;
-      handle_fault_signal(task, kSigfpe, info);
-      return task.runnable();
-    }
+      return exit_process(task, 0);
+    case cpu::ExecKind::kTrap:
+      return raise(kSigtrap, 0);  // INT3 carries no address (SI_KERNEL)
+    case cpu::ExecKind::kMemFault:
+      return raise(kSigsegv, fault.address);
     case cpu::ExecKind::kInvalidOpcode:
-      // Unreachable: blocks only hold successfully decoded instructions.
-      kill_process(*task.process, 139, "invalid opcode inside decoded block");
-      return false;
+      return raise(kSigill, insn_addr);
+    case cpu::ExecKind::kDivideError:
+      return raise(kSigfpe, insn_addr);
   }
-  return false;
 }
-
-bool Machine::block_step(Task& task, const cpu::DecodedBlock& block,
-                         std::uint64_t budget, std::uint64_t& steps) {
-  const cpu::BlockRun run =
-      cpu::run_block(task.ctx, *task.mem, block, budget, &task.dtlb);
-  account_block_run(task, block, run, steps);
-  return dispatch_block_exit(task, run);
-}
-
-#endif  // LZP_BLOCK_EXEC_DISABLED
 
 bool Machine::step_once(Task& task, std::uint64_t& steps) {
   if (!task.runnable()) return false;
@@ -390,21 +367,15 @@ bool Machine::step_once(Task& task, std::uint64_t& steps) {
   // Host steps retire no simulated instruction and do not advance
   // total_insns_.
   if (is_host_addr(task.ctx.rip)) {
-    HostBinding* binding = find_host_binding(task.ctx.rip);
-    if (binding == nullptr) {
+    const std::uint64_t entry_rip = task.ctx.rip;
+    if (!call_host(task, entry_rip, costs_.host_glue)) {
       kill_process(*task.process, 139,
-                   "jump to unbound host address " + std::to_string(task.ctx.rip));
+                   "jump to unbound host address " + std::to_string(entry_rip));
       return false;
     }
-    const std::uint64_t entry_rip = task.ctx.rip;
-    ScopedCycleClass scope(task, binding->cls, entry_rip);
-    charge(task, costs_.host_glue);
-    HostFrame frame{*this, task, task.ctx};
-    binding->fn(frame);
-    if (!task.runnable()) return false;
-    if (task.ctx.rip == entry_rip) {
-      // Host function did not redirect control: behave like RET.
-      frame.ret();
+    // A host function that did not redirect control behaves like RET.
+    if (task.runnable() && task.ctx.rip == entry_rip) {
+      HostFrame{*this, task, task.ctx}.ret();
     }
     return task.runnable();
   }
@@ -412,82 +383,35 @@ bool Machine::step_once(Task& task, std::uint64_t& steps) {
   const cpu::ExecResult result =
       cpu::step(task.ctx, *task.mem,
                 decode_cache_enabled ? &task.dcache : nullptr, &task.dtlb);
-  switch (result.kind) {
-    case cpu::ExecKind::kContinue:
-    case cpu::ExecKind::kSyscall: {
-      const std::uint64_t insn_cycles =
-          result.insn && result.insn->op == isa::Op::kNop ? costs_.insn_nop
-                                                          : costs_.insn;
-      // Site probe before the charge (see block_step). Sampled at the
-      // sink's period: cycles accumulate per task and the every-Nth probe
-      // carries the whole batch, so site-map sums stay exact while the
-      // virtual call amortizes (the sink's step-engine overhead knob).
-      if (auto* sink = profile_sink()) {
-        task.insn_probe_cycles += insn_cycles;
-        if (++task.insn_probe_count >= profile_step_period_) {
-          sink->on_guest_insn(task, result.insn_addr, task.insn_probe_cycles);
-          task.insn_probe_cycles = 0;
-          task.insn_probe_count = 0;
-        }
-      }
-      charge(task, insn_cycles);
-      if (!smp_active_) ++total_insns_;
-      ++task.insns_retired;
-      if (!insn_observers_.empty() && result.insn) {
-        insn_observers_.notify(task, *result.insn);
-      }
-      if (result.kind == cpu::ExecKind::kSyscall) syscall_entry_from_sim(task);
-      return task.runnable();
-    }
-    case cpu::ExecKind::kHostCall: {
-      // A HOSTCALL instruction in simulated code: dispatch to the bound
-      // native function (rip is already past the instruction; the function
-      // may redirect it, e.g. the trampoline's entry performing RET).
-      const std::uint64_t addr =
-          kHostRegionBase + 16 * static_cast<std::uint64_t>(result.insn->imm);
-      HostBinding* binding = find_host_binding(addr);
-      if (binding == nullptr) {
-        kill_process(*task.process, 139, "HOSTCALL to unbound index");
-        return false;
-      }
-      ScopedCycleClass scope(task, binding->cls, addr);
-      charge(task, costs_.insn + costs_.host_glue);
-      HostFrame frame{*this, task, task.ctx};
-      binding->fn(frame);
-      return task.runnable();
-    }
-    case cpu::ExecKind::kHlt:
-      exit_process(task, 0);
-      return false;
-    case cpu::ExecKind::kTrap: {
-      SigInfo info;
-      info.signo = kSigtrap;
-      handle_fault_signal(task, kSigtrap, info);
-      return task.runnable();
-    }
-    case cpu::ExecKind::kMemFault: {
-      SigInfo info;
-      info.signo = kSigsegv;
-      info.fault_addr = result.fault.address;
-      handle_fault_signal(task, kSigsegv, info);
-      return task.runnable();
-    }
-    case cpu::ExecKind::kInvalidOpcode: {
-      SigInfo info;
-      info.signo = kSigill;
-      info.fault_addr = result.insn_addr;
-      handle_fault_signal(task, kSigill, info);
-      return task.runnable();
-    }
-    case cpu::ExecKind::kDivideError: {
-      SigInfo info;
-      info.signo = kSigfpe;
-      info.fault_addr = result.insn_addr;
-      handle_fault_signal(task, kSigfpe, info);
-      return task.runnable();
+  if (result.kind != cpu::ExecKind::kContinue &&
+      result.kind != cpu::ExecKind::kSyscall) {
+    dispatch_exit(task, result.kind, result.insn_addr, result.fault,
+                  result.insn ? result.insn->imm : 0);
+    return task.runnable();
+  }
+  const std::uint64_t insn_cycles =
+      result.insn && result.insn->op == isa::Op::kNop ? costs_.insn_nop
+                                                      : costs_.insn;
+  // Site probe before the charge (see run_slice_counted). Sampled at the
+  // sink's period: cycles accumulate per task and the every-Nth probe
+  // carries the whole batch, so site-map sums stay exact while the virtual
+  // call amortizes (the sink's step-engine overhead knob).
+  if (auto* sink = profile_sink()) {
+    task.insn_probe_cycles += insn_cycles;
+    if (++task.insn_probe_count >= profile_step_period_) {
+      sink->on_guest_insn(task, result.insn_addr, task.insn_probe_cycles);
+      task.insn_probe_cycles = 0;
+      task.insn_probe_count = 0;
     }
   }
-  return false;
+  charge(task, insn_cycles);
+  if (!smp_active_) ++total_insns_;
+  ++task.insns_retired;
+  if (!insn_observers_.empty() && result.insn) {
+    insn_observers_.notify(task, *result.insn);
+  }
+  if (result.kind == cpu::ExecKind::kSyscall) syscall_entry_from_sim(task);
+  return task.runnable();
 }
 
 // ---------------------------------------------------------------------------

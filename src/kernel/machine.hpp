@@ -111,12 +111,14 @@ class Machine {
 
   // Superblock execution engine (cpu/block_cache.hpp): run_slice executes
   // cached straight-line decodes as batches — accounting hoisted to block
-  // boundaries — whenever exactness permits, and falls back to step_once
-  // when it does not: per-instruction observers, the replay schedule hook,
-  // ptrace, host code at rip, or a deliverable pending signal. A long nop
-  // run (the zpoline sled) executes in O(1) per slice. On by
-  // default; compiled out wholesale with -DLZP_BLOCK_EXEC=OFF (the flag
-  // remains so toggling code builds either way).
+  // boundaries — whenever exactness permits, and falls back to the
+  // per-instruction reference engine (step_once) when it does not:
+  // per-instruction observers, ptrace, host code at rip, or a deliverable
+  // pending signal. Slice observers and the replay schedule hook leave it on.
+  // A long nop run (the zpoline sled) executes in O(1) per slice. On by
+  // default; the engine is a runtime choice only, and `false` runs every
+  // slice through the reference engine (the oracle the tests and perfbench
+  // compare against).
   bool block_exec_enabled = true;
   // Block-cache / data-TLB counters summed over every task.
   [[nodiscard]] cpu::BlockCacheStats block_cache_totals() const;
@@ -360,12 +362,14 @@ class Machine {
   // Flushes one task's coalesced profile-mirror charges (charge()).
   void flush_profile(Task& task) noexcept;
 
-  // One scheduling step: host call or one instruction. Returns false when
-  // the task can no longer run. `steps` is the step counter this execution
-  // lane advances: total_steps_ on the single-threaded path, a per-CPU lane
-  // counter under run_smp (merged into total_steps_ at barriers).
+  // One step of the reference engine: host call or one instruction. Returns
+  // false when the task can no longer run. `steps` is the step counter this
+  // execution lane advances: total_steps_ on the single-threaded path, a
+  // per-CPU lane counter under run_smp (merged into total_steps_ at
+  // barriers).
   bool step_once(Task& task, std::uint64_t& steps);
-  // run_slice against an explicit lane counter (the SMP per-CPU path).
+  // The one slice loop, against an explicit lane counter: block runs while
+  // can_batch_execute allows, step_once otherwise.
   void run_slice_counted(Task& task, std::uint64_t max_insns,
                          std::uint64_t& steps);
 
@@ -375,26 +379,19 @@ class Machine {
   // mask blocks everything pays no per-signal branch in the hot loop.
   [[nodiscard]] static bool deliverable_signal_pending(const Task& task) noexcept;
 
-#ifndef LZP_BLOCK_EXEC_DISABLED
   // True when run_slice may execute `task` through the superblock engine
   // without observable divergence from per-instruction stepping.
   [[nodiscard]] bool can_batch_execute(const Task& task) const noexcept;
-  // Executes one block (bounded by `budget` steps), batch-charges
-  // cost/counters and the lane's step counter, and handles the block's exit
-  // exactly as step_once would. Returns false when the task can no longer
-  // run.
-  bool block_step(Task& task, const cpu::DecodedBlock& block,
-                  std::uint64_t budget, std::uint64_t& steps);
-  // Batched accounting for one block run: lane steps, retirement counters,
-  // the per-block profile probe, and the cycle charge — identical totals to
-  // per-instruction stepping.
-  void account_block_run(Task& task, const cpu::DecodedBlock& block,
-                         const cpu::BlockRun& run, std::uint64_t& steps);
-  // Handles a finished block run's exit exactly as step_once would have for
-  // the instruction at run.insn_addr. Returns false when the task can no
-  // longer run.
-  bool dispatch_block_exit(Task& task, const cpu::BlockRun& run);
-#endif
+  // Charges `cycles` and runs the host function bound at `addr`, both under
+  // the binding's cycle class. False (nothing charged) when `addr` is
+  // unbound.
+  bool call_host(Task& task, std::uint64_t addr, std::uint64_t cycles);
+  // Handles an instruction that ended a run without retiring (HOSTCALL, HLT,
+  // INT3 and the faults) for both engines: `insn_addr` is its address,
+  // `fault` the memory fault (kMemFault only) and `host_index` the HOSTCALL
+  // immediate (kHostCall only). The caller checks task.runnable() after.
+  void dispatch_exit(Task& task, cpu::ExecKind kind, std::uint64_t insn_addr,
+                     const mem::MemFault& fault, std::int64_t host_index);
 
   // Figure 1: the syscall kernel entry path for a SYSCALL instruction
   // executed by simulated code.

@@ -5,14 +5,18 @@
 //     dispatch advance total_steps() but never total_insns()),
 //   * differential properties: engine on vs off must agree bit-for-bit on
 //     final architectural state, cycles, retired counts, and step counts —
-//     for random programs, interposed loops, and the multi-task webserver,
+//     for random programs and for every mechanism × a syscall loop and a
+//     webserver × 1 and 4 CPUs (per-task counters and trace metrics too),
+//   * the shared exit dispatcher: host dispatch charges and each fault's
+//     siginfo are exact under both engines,
 //   * nop runs: every entry offset into a sled under every slice budget
 //     lands on the reference path's rip, steps, retirements and cycles,
 //   * SMC mid-run: a privileged rewrite between slices (also one inside a
 //     live nop run) makes the new bytes execute,
 //   * SMP: a 4-CPU run whose site rewrites shoot down other CPUs' blocks,
 //   * record/replay neutrality: traces recorded with the engine on and off
-//     are identical, and replay round trips survive an external kill.
+//     are identical, and an external-kill recording replays identically on
+//     both engines.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -298,111 +302,305 @@ TEST_P(BlockExecFuzzTest, RandomProgramsMatchReferencePathExactly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockExecFuzzTest,
                          ::testing::Values(21, 42, 84, 168));
 
-TEST(BlockExecDifferentialTest, LazypolineLoopMatchesReferencePath) {
-  const auto program = testutil::make_syscall_loop(kern::kSysGetpid, 200);
+// Reference engine against block engine over the evaluation matrix: every
+// mechanism × a small syscall loop and a small webserver × 1 and 4 simulated
+// CPUs. The counters must agree exactly; the engine-specific assertions pin
+// which engine really ran.
+struct DifferentialCase {
+  scenario::Mechanism::Kind mechanism;
+  bool web;
+  unsigned cpus;
+};
 
-  auto run_with = [&](bool engine_on) {
-    kern::Machine machine;
-    machine.block_exec_enabled = engine_on;
-    machine.mmap_min_addr = 0;
-    machine.register_program(program);
-    const kern::Tid tid = machine.load(program).value();
-    auto handler = std::make_shared<interpose::TracingHandler>();
-    EXPECT_TRUE(scenario::install(scenario::Mechanism::Kind::kLazypoline,
-                                  machine, tid, handler)
-                    .is_ok());
-    const auto stats = machine.run();
-    EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
-    MachineOutcome out;
-    out.exit_code = machine.find_task(tid)->exit_code;
-    out.cycles = machine.total_cycles();
-    out.insns = machine.total_insns();
-    out.steps = machine.total_steps();
-    out.data.push_back(static_cast<std::uint8_t>(handler->trace().size()));
-#ifndef LZP_BLOCK_EXEC_DISABLED
-    if (engine_on) {
-      // The hot loop really ran through the block cache, and the runtime's
-      // site rewrites invalidated warm blocks (SMC contract).
-      EXPECT_GT(machine.block_cache_totals().hits, 0u);
-      EXPECT_GE(machine.block_cache_totals().invalidations, 1u);
-    } else {
-      EXPECT_EQ(machine.block_cache_totals().hits +
-                    machine.block_cache_totals().misses,
-                0u);
-    }
-#endif
-    return out;
-  };
-
-  const MachineOutcome on = run_with(true);
-  const MachineOutcome off = run_with(false);
-  EXPECT_EQ(on.exit_code, off.exit_code);
-  EXPECT_EQ(on.cycles, off.cycles);
-  EXPECT_EQ(on.insns, off.insns);
-  EXPECT_EQ(on.steps, off.steps);
-  EXPECT_EQ(on.data, off.data);
+std::string case_label(const DifferentialCase& c) {
+  return scenario::to_string(c.mechanism) +
+         (c.web ? "_web_cpus" : "_loop_cpus") + std::to_string(c.cpus);
 }
 
-TEST(BlockExecDifferentialTest, WebserverMatchesReferencePath) {
-  constexpr std::uint64_t kRequests = 30;
-  constexpr std::uint64_t kFileSize = 256;
-  constexpr unsigned kWorkers = 2;
-  const apps::ServerProfile profile = apps::nginx_profile();
+// gtest puts the printed parameter into each listed test name; without this
+// it prints the raw bytes, struct padding included.
+void PrintTo(const DifferentialCase& c, std::ostream* os) {
+  *os << case_label(c);
+}
 
-  auto run_with = [&](bool block_on, std::string* metrics_out) {
-    kern::Machine machine;
-    machine.block_exec_enabled = block_on;
-    trace::Tracer tracer;
-    tracer.attach(machine);
-    const scenario::Scenario spec{
-        scenario::Web{profile, kWorkers, kFileSize, 4, kRequests},
-        scenario::Mechanism::Kind::kSud};
-    auto instance = scenario::build(
-        spec, machine, std::make_shared<interpose::DummyHandler>());
-    EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
-    const std::vector<kern::Tid> tids = instance.value().workers;
-    const int listener = instance.value().listeners.front();
-    const auto stats = machine.run(400'000'000ULL);
-    EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
-    EXPECT_EQ(machine.net().completed_requests(listener), kRequests);
+scenario::Scenario make_spec(const DifferentialCase& c) {
+  scenario::Scenario spec;
+  if (c.web) {
+    spec.program = scenario::Web{apps::nginx_profile(), /*workers=*/2,
+                                 /*file_bytes=*/256, /*connections=*/4,
+                                 /*requests=*/30};
+  } else {
+    spec.program = scenario::Loop{/*iterations=*/200, kern::kSysGetpid};
+  }
+  spec.mechanism = c.mechanism;
+  spec.cpus = c.cpus;
+  return spec;
+}
 
-    MachineOutcome out;
-    out.cycles = machine.total_cycles();
-    out.insns = machine.total_insns();
-    out.steps = machine.total_steps();
-    for (const kern::Tid tid : tids) {
-      out.data.push_back(
-          static_cast<std::uint8_t>(machine.find_task(tid)->exit_code));
+struct TaskCounters {
+  kern::Tid tid = 0;
+  int exit_code = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t insns_retired = 0;
+  std::uint64_t syscalls_dispatched = 0;
+  friend bool operator==(const TaskCounters&, const TaskCounters&) = default;
+};
+
+struct EngineOutcome {
+  std::uint64_t cycles = 0;
+  std::uint64_t insns = 0;
+  std::uint64_t steps = 0;
+  std::vector<TaskCounters> tasks;
+  std::vector<std::uint64_t> served;  // per listener
+  std::size_t handler_calls = 0;
+  std::string metrics;  // the tracer's tables minus the cache counters
+};
+
+EngineOutcome run_engine(const scenario::Scenario& spec, bool block_on) {
+  const std::string where =
+      std::string(block_on ? "block" : "reference") + ": " +
+      scenario::to_string(spec);
+  kern::Machine machine;
+  machine.block_exec_enabled = block_on;
+  trace::Tracer tracer;
+  tracer.set_concurrent(spec.cpus > 1);
+  tracer.attach(machine);
+  // The TracingHandler's log is unlocked, so only a 1-CPU run (one host
+  // thread) records through it; SMP workers share a stateless handler.
+  auto tracing = std::make_shared<interpose::TracingHandler>();
+  std::shared_ptr<interpose::SyscallHandler> handler = tracing;
+  if (spec.cpus > 1) handler = std::make_shared<interpose::DummyHandler>();
+  auto instance = scenario::build(spec, machine, handler);
+  EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
+  EngineOutcome out;
+  if (!instance.is_ok()) return out;
+  const auto ran = scenario::run(spec, machine, instance.value());
+  EXPECT_TRUE(ran.is_ok()) << ran.status().to_string();
+  tracer.detach(machine);
+
+  out.cycles = machine.total_cycles();
+  out.insns = machine.total_insns();
+  out.steps = machine.total_steps();
+  for (const kern::Tid tid : machine.task_ids()) {
+    const kern::Task& task = *machine.find_task(tid);
+    out.tasks.push_back({tid, task.exit_code, task.cycles, task.insns_retired,
+                         task.syscalls_dispatched});
+  }
+  for (const int listener : instance.value().listeners) {
+    out.served.push_back(machine.net().completed_requests(listener));
+  }
+  out.handler_calls = tracing->trace().size();
+  // Everything in the metrics tables except the execution-cache counters
+  // (which exist precisely to differ between the engines) must match.
+  // ring.events aggregates the invalidation events too, so it goes with them.
+  std::istringstream in(trace::render_summary(tracer));
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("bcache.") != std::string::npos ||
+        line.find("dcache.") != std::string::npos ||
+        line.find("ring.events") != std::string::npos) {
+      continue;
     }
-    if (metrics_out != nullptr) {
-      // Everything in the metrics tables except the execution-cache counters
-      // (which exist precisely to differ between the two paths) must match.
-      // ring.events aggregates the invalidation events too, so it goes with
-      // them.
-      std::istringstream in(trace::render_summary(tracer));
-      std::string line;
-      while (std::getline(in, line)) {
-        if (line.find("bcache.") != std::string::npos ||
-            line.find("dcache.") != std::string::npos ||
-            line.find("ring.events") != std::string::npos) {
-          continue;
-        }
-        *metrics_out += line + "\n";
+    out.metrics += line + "\n";
+  }
+
+  const cpu::BlockCacheStats bcache = machine.block_cache_totals();
+  if (!block_on || spec.mechanism.kind == scenario::Mechanism::Kind::kPtrace) {
+    // The reference engine never looks a block up, and neither does the
+    // block engine for a ptraced task (the per-step fallback).
+    EXPECT_EQ(bcache.hits + bcache.misses, 0u) << where;
+  } else {
+    EXPECT_GT(bcache.hits, 0u) << where;
+  }
+  if (block_on &&
+      spec.mechanism.kind == scenario::Mechanism::Kind::kLazypoline) {
+    // The runtime's site rewrites invalidated warm blocks (SMC contract).
+    EXPECT_GE(bcache.invalidations, 1u) << where;
+  }
+  return out;
+}
+
+class BlockExecDifferentialTest
+    : public ::testing::TestWithParam<DifferentialCase> {};
+
+TEST_P(BlockExecDifferentialTest, BlockMatchesReferencePath) {
+  const scenario::Scenario spec = make_spec(GetParam());
+  const std::string where = scenario::to_string(spec);
+  const EngineOutcome ref = run_engine(spec, false);
+  const EngineOutcome block = run_engine(spec, true);
+  EXPECT_EQ(block.cycles, ref.cycles) << where;
+  EXPECT_EQ(block.insns, ref.insns) << where;
+  EXPECT_EQ(block.steps, ref.steps) << where;
+  ASSERT_EQ(block.tasks.size(), ref.tasks.size()) << where;
+  for (std::size_t i = 0; i < ref.tasks.size(); ++i) {
+    const TaskCounters& r = ref.tasks[i];
+    const TaskCounters& b = block.tasks[i];
+    EXPECT_EQ(b, r) << where << ": task " << r.tid << " (block tid " << b.tid
+                    << "): exit " << b.exit_code << " vs " << r.exit_code
+                    << ", cycles " << b.cycles << " vs " << r.cycles
+                    << ", retired " << b.insns_retired << " vs "
+                    << r.insns_retired << ", syscalls "
+                    << b.syscalls_dispatched << " vs "
+                    << r.syscalls_dispatched;
+  }
+  EXPECT_EQ(block.served, ref.served) << where;
+  EXPECT_EQ(block.handler_calls, ref.handler_calls) << where;
+  EXPECT_EQ(block.metrics, ref.metrics) << where;
+}
+
+std::vector<DifferentialCase> differential_product() {
+  std::vector<DifferentialCase> cases;
+  for (const auto mechanism :
+       {scenario::Mechanism::Kind::kNative, scenario::Mechanism::Kind::kPtrace,
+        scenario::Mechanism::Kind::kSud, scenario::Mechanism::Kind::kZpoline,
+        scenario::Mechanism::Kind::kLazypoline}) {
+    for (const bool web : {false, true}) {
+      for (const unsigned cpus : {1u, 4u}) {
+        cases.push_back({mechanism, web, cpus});
       }
     }
-    tracer.detach(machine);
-    return out;
-  };
+  }
+  return cases;
+}
 
-  std::string metrics_ref;
-  std::string metrics_block;
-  const MachineOutcome ref = run_with(false, &metrics_ref);
-  const MachineOutcome block = run_with(true, &metrics_block);
-  EXPECT_EQ(block.cycles, ref.cycles);
-  EXPECT_EQ(block.insns, ref.insns);
-  EXPECT_EQ(block.steps, ref.steps);
-  EXPECT_EQ(block.data, ref.data);
-  EXPECT_EQ(metrics_block, metrics_ref);
+INSTANTIATE_TEST_SUITE_P(Product, BlockExecDifferentialTest,
+                         ::testing::ValuesIn(differential_product()),
+                         [](const auto& info) {
+                           return case_label(info.param);
+                         });
+
+// --- the exit dispatcher: host dispatch cost and fault siginfo -------------
+
+// Cycles of a guest that runs a straight-line prefix, then what `tail` emits
+// (binding any host functions it reaches), then HLT.
+using TailEmitter = std::function<void(kern::Machine&, Assembler&)>;
+
+std::uint64_t tail_cycles(bool block_on, const TailEmitter& tail) {
+  kern::Machine machine;
+  machine.block_exec_enabled = block_on;
+  Assembler a;
+  const auto entry = a.new_label();
+  a.bind(entry);
+  for (int i = 0; i < 6; ++i) a.add(Gpr::rax, 1);
+  tail(machine, a);
+  a.hlt();
+  const isa::Program program = isa::make_program("tail", a, entry).value();
+  EXPECT_EQ(testutil::load_and_run(machine, program), 0)
+      << machine.last_fatal();
+  return machine.total_cycles();
+}
+
+TEST(ExitDispatchTest, HostDispatchChargesGlueUnderBothEngines) {
+  const kern::CostModel costs;
+  for (const bool block_on : {false, true}) {
+    const std::string where = block_on ? "block" : "reference";
+    int calls = 0;
+    auto bind_noop = [&calls](kern::Machine& machine) {
+      return machine.bind_host("test.noop",
+                               [&calls](kern::HostFrame&) { ++calls; });
+    };
+    // A HOSTCALL costs one instruction plus the host glue: an ADD in its
+    // place costs the instruction alone.
+    const std::uint64_t hostcall =
+        tail_cycles(block_on, [&](kern::Machine& m, Assembler& a) {
+          a.hostcall(kern::Machine::host_index(bind_noop(m)));
+        });
+    const std::uint64_t add = tail_cycles(
+        block_on, [](kern::Machine&, Assembler& a) { a.add(Gpr::rax, 1); });
+    EXPECT_EQ(hostcall - add, costs.host_glue) << where;
+    // A call into the host region costs the CALL plus the host glue, and the
+    // function that does not redirect rip returns like RET.
+    const std::uint64_t call =
+        tail_cycles(block_on, [&](kern::Machine& m, Assembler& a) {
+          a.mov(Gpr::rax, bind_noop(m));
+          a.call_rax();
+        });
+    const std::uint64_t mov =
+        tail_cycles(block_on, [](kern::Machine&, Assembler& a) {
+          a.mov(Gpr::rax, kern::Machine::kHostRegionBase);
+        });
+    EXPECT_EQ(call - mov, costs.insn + costs.host_glue) << where;
+    EXPECT_EQ(calls, 2) << where;
+  }
+}
+
+// Fault siginfo: both engines raise the same signal at the same address.
+
+// A guest that runs a straight-line prefix (so the block engine has a block
+// to run into the fault), then takes one synchronous signal.
+struct FaultCase {
+  const char* name;
+  int signo;
+  isa::Program program;
+  std::uint64_t fault_addr;  // the absolute address siginfo must carry
+};
+
+std::vector<FaultCase> make_fault_cases() {
+  constexpr std::uint64_t kUnmapped = 0xDEAD'0000;
+  constexpr std::int32_t kDisp = 0x18;
+  std::vector<FaultCase> cases;
+  auto add_case = [&cases](const char* name, int signo, auto&& emit_fault,
+                           bool addr_is_insn, std::uint64_t fault_addr) {
+    Assembler a;
+    const auto entry = a.new_label();
+    a.bind(entry);
+    a.mov(Gpr::rbx, kUnmapped);
+    a.mov(Gpr::rcx, 0);
+    for (int i = 0; i < 6; ++i) a.add(Gpr::rax, 1);
+    const std::uint64_t offset = a.offset();
+    emit_fault(a);
+    a.hlt();
+    isa::Program program =
+        isa::make_program(std::string("fault-") + name, a, entry).value();
+    if (addr_is_insn) fault_addr = program.base + offset;
+    cases.push_back({name, signo, std::move(program), fault_addr});
+  };
+  add_case("segv", kern::kSigsegv,
+           [](Assembler& a) { a.load(Gpr::rdx, Gpr::rbx, kDisp); },
+           /*addr_is_insn=*/false, kUnmapped + kDisp);
+  add_case("fpe", kern::kSigfpe,
+           [](Assembler& a) { a.div(Gpr::rax, Gpr::rcx); },
+           /*addr_is_insn=*/true, 0);
+  add_case("ill", kern::kSigill, [](Assembler& a) { a.db({0xEE}); },
+           /*addr_is_insn=*/true, 0);
+  // INT3 reports no address (Linux sends it as SI_KERNEL).
+  add_case("trap", kern::kSigtrap, [](Assembler& a) { a.trap(); },
+           /*addr_is_insn=*/false, 0);
+  return cases;
+}
+
+TEST(ExitDispatchTest, FaultSiginfoIsExactUnderBothEngines) {
+  for (const FaultCase& c : make_fault_cases()) {
+    MachineOutcome outcomes[2];
+    for (const bool block_on : {false, true}) {
+      const std::string where =
+          std::string(c.name) + (block_on ? " (block)" : " (reference)");
+      kern::Machine machine;
+      machine.block_exec_enabled = block_on;
+      std::vector<kern::SigInfo> seen;
+      machine.add_signal_observer(
+          [&seen](const kern::Task&, const kern::SigInfo& info) {
+            seen.push_back(info);
+          });
+      MachineOutcome& out = outcomes[block_on ? 1 : 0];
+      out.exit_code = testutil::load_and_run(machine, c.program);
+      out.cycles = machine.total_cycles();
+      out.insns = machine.total_insns();
+      out.steps = machine.total_steps();
+      EXPECT_EQ(out.exit_code, 128 + c.signo) << where;
+      ASSERT_EQ(seen.size(), 1u) << where;
+      EXPECT_EQ(seen[0].signo, c.signo) << where;
+      EXPECT_EQ(seen[0].fault_addr, c.fault_addr) << where;
+      if (block_on) {
+        // The prefix ran as a block and the fault ended a block run (or, for
+        // the undecodable bytes, the per-step fallback right after one).
+        EXPECT_GT(machine.block_cache_totals().blocks_built, 0u) << where;
+      }
+    }
+    EXPECT_EQ(outcomes[1].cycles, outcomes[0].cycles) << c.name;
+    EXPECT_EQ(outcomes[1].insns, outcomes[0].insns) << c.name;
+    EXPECT_EQ(outcomes[1].steps, outcomes[0].steps) << c.name;
+  }
 }
 
 // --- nop runs: every entry offset x every slice budget -----------------------
@@ -479,12 +677,10 @@ TEST(NopRunPhaseTest, EveryEntryAndBudgetMatchesReference) {
           << block[i].retired << " vs " << ref[i].retired << ", cycles "
           << block[i].cycles << " vs " << ref[i].cycles;
     }
-#ifndef LZP_BLOCK_EXEC_DISABLED
     // One memoized run serves every entry point: the blocks built are the
     // run itself plus the ADD tail's entry points, not one per sled entry.
     EXPECT_GT(block_bcache.hits, ref.size()) << c.name;
     EXPECT_LT(block_bcache.blocks_built, kSledTailAdds + 8) << c.name;
-#endif
   }
 }
 
@@ -587,10 +783,8 @@ TEST(BlockExecSmcTest, SmcMidRunInvalidatesBlocksAndNewBytesExecute) {
   EXPECT_EQ(block.end.cycles, ref.end.cycles);
   EXPECT_EQ(block.end.insns, ref.end.insns);
   EXPECT_EQ(block.end.steps, ref.end.steps);
-#ifndef LZP_BLOCK_EXEC_DISABLED
   EXPECT_GT(block.bcache.hits, 0u);
   EXPECT_GE(block.bcache.invalidations, 1u);
-#endif
 }
 
 // Exit code, cycles and steps of a loop whose body is a 48-NOP run, after an
@@ -690,9 +884,7 @@ TEST(BlockExecSmpTest, FourCpuShootdownDuringBlockExecution) {
   for (kern::Tid tid : machine.task_ids()) {
     cpus_used.insert(machine.find_task(tid)->cpu);
   }
-#ifndef LZP_BLOCK_EXEC_DISABLED
   EXPECT_GT(machine.block_cache_totals().hits, 0u);
-#endif
   if (cpus_used.size() > 1) {
     EXPECT_GT(stats.shootdowns, 0u)
         << "spread CLONE_VM siblings saw no SMC shootdown";
@@ -726,9 +918,7 @@ TEST(BlockExecReplayTest, RecordedTracesAreIdenticalAcrossEngines) {
   // The Recorder's slice observer leaves the block engine on: the two
   // recordings really come from two engines.
   EXPECT_EQ(ref_bcache.hits + ref_bcache.misses, 0u);
-#ifndef LZP_BLOCK_EXEC_DISABLED
   EXPECT_GT(block_bcache.hits, 0u);
-#endif
   EXPECT_EQ(block, ref);
   EXPECT_EQ(block.serialize(), ref.serialize());
 }
@@ -757,23 +947,60 @@ TEST(BlockExecReplayTest, ExternalKillRoundTripsWithEngineEnabled) {
     recorded_exit = machine.find_task(tid)->exit_code;
     recorded_retired = machine.find_task(tid)->insns_retired;
   }
+  const replay::Trace trace = recorder->take_trace();
 
-  auto replayer = std::make_shared<replay::Replayer>(recorder->take_trace());
-  {
+  // The schedule hook only hands run_slice exact step budgets, so replay
+  // runs on the block engine and must land every slice, the re-posted kill
+  // included, on the same step as a reference-engine replay.
+  struct ReplayOutcome {
+    MachineOutcome end;
+    replay::Replayer::Stats stats;
+  };
+  auto replay_with = [&](bool block_on) {
+    const std::string where = block_on ? "block" : "reference";
+    auto replayer = std::make_shared<replay::Replayer>(trace);
     kern::Machine machine;
+    machine.block_exec_enabled = block_on;
     machine.mmap_min_addr = 0;
     machine.register_program(program);
     replayer->attach(machine);
     const kern::Tid tid = machine.load(program).value();
     mechanisms::SudMechanism mechanism;
-    ASSERT_TRUE(mechanism.install(machine, tid, replayer).is_ok());
+    EXPECT_TRUE(mechanism.install(machine, tid, replayer).is_ok());
     const auto stats = machine.run();
-    EXPECT_TRUE(replayer->status().is_ok()) << replayer->status().to_string();
-    ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
-    EXPECT_EQ(machine.find_task(tid)->exit_code, recorded_exit);
-    EXPECT_EQ(machine.find_task(tid)->insns_retired, recorded_retired);
-  }
-  EXPECT_EQ(replayer->stats().signals_posted, 1u);
+    EXPECT_TRUE(replayer->status().is_ok())
+        << where << ": " << replayer->status().to_string();
+    EXPECT_TRUE(stats.all_exited) << where << ": " << machine.last_fatal();
+    EXPECT_EQ(machine.find_task(tid)->exit_code, recorded_exit) << where;
+    EXPECT_EQ(machine.find_task(tid)->insns_retired, recorded_retired)
+        << where;
+    EXPECT_EQ(replayer->stats().signals_posted, 1u) << where;
+    const cpu::BlockCacheStats bcache = machine.block_cache_totals();
+    if (block_on) {
+      EXPECT_GT(bcache.hits, 0u) << where;
+    } else {
+      EXPECT_EQ(bcache.hits + bcache.misses, 0u) << where;
+    }
+    ReplayOutcome out;
+    out.end.exit_code = machine.find_task(tid)->exit_code;
+    out.end.cycles = machine.total_cycles();
+    out.end.insns = machine.total_insns();
+    out.end.steps = machine.total_steps();
+    out.stats = replayer->stats();
+    return out;
+  };
+  const ReplayOutcome ref = replay_with(false);
+  const ReplayOutcome block = replay_with(true);
+  EXPECT_EQ(block.end.exit_code, ref.end.exit_code);
+  EXPECT_EQ(block.end.cycles, ref.end.cycles);
+  EXPECT_EQ(block.end.insns, ref.end.insns);
+  EXPECT_EQ(block.end.steps, ref.end.steps);
+  EXPECT_EQ(block.stats.syscalls_injected, ref.stats.syscalls_injected);
+  EXPECT_EQ(block.stats.syscalls_executed, ref.stats.syscalls_executed);
+  EXPECT_EQ(block.stats.signals_verified, ref.stats.signals_verified);
+  EXPECT_EQ(block.stats.signals_posted, ref.stats.signals_posted);
+  EXPECT_EQ(block.stats.slices_replayed, ref.stats.slices_replayed);
+  EXPECT_EQ(block.stats.bytes_patched, ref.stats.bytes_patched);
 }
 
 }  // namespace
