@@ -2,7 +2,7 @@
 //
 // Every workload here runs on otherwise-identical machines differing only in
 // the execution engine:
-//   reference — per-instruction stepping (decode cache on), the baseline;
+//   reference — per-instruction fetch, decode and execute, the baseline;
 //   block     — the superblock engine (block_exec_enabled), which also runs
 //               long nop runs such as the VA-0 sled in O(1) per slice.
 // Three claims are enforced:

@@ -48,14 +48,10 @@ const Column kLazyNoX{"lazypoline-nox",
 const Column kLazyFull{"lazypoline", Mechanism::Kind::kLazypoline};
 const Column kSud{"sud", Mechanism::Kind::kSud};
 
-// Simulator-cache counters accumulated across every simulated run, reported
-// at the end so the figure's wall-clock cost is attributable (hit rate of
-// the simulator hot loop, and how often the lazypoline/zpoline rewrites
-// invalidated cached state). With the superblock engine on (the default) the
-// hot loop is served by the block cache and the decode cache stays cold; the
-// decode-cache table fills only for runs on the reference engine
-// (Machine::block_exec_enabled = false) and for the per-step fallbacks.
-cpu::DecodeCacheStats g_dcache_totals;
+// Block-cache counters accumulated across every simulated run, reported at
+// the end so the figure's wall-clock cost is attributable (hit rate of the
+// simulator hot loop, and how often the lazypoline/zpoline rewrites
+// invalidated cached blocks).
 cpu::BlockCacheStats g_bcache_totals;
 
 // SMP scheduler telemetry accumulated across every run_smp via the shared
@@ -64,12 +60,7 @@ cpu::BlockCacheStats g_bcache_totals;
 // for SmpStats having been accumulated but never surfaced.
 trace::MetricsRegistry g_smp_metrics;
 
-void accumulate_dcache(const kern::Machine& machine) {
-  const cpu::DecodeCacheStats totals = machine.decode_cache_totals();
-  g_dcache_totals.hits += totals.hits;
-  g_dcache_totals.misses += totals.misses;
-  g_dcache_totals.invalidations += totals.invalidations;
-  g_dcache_totals.flushes += totals.flushes;
+void accumulate_bcache(const kern::Machine& machine) {
   const cpu::BlockCacheStats blocks = machine.block_cache_totals();
   g_bcache_totals.hits += blocks.hits;
   g_bcache_totals.misses += blocks.misses;
@@ -89,7 +80,7 @@ GridRun run_one(const apps::ServerProfile& profile, std::uint64_t file_size,
       scenario::Web{profile, workers, file_size, 36, kRequests}, mechanism};
   kern::Machine machine;
   const scenario::Outcome outcome = bench::run_scenario(spec, machine);
-  accumulate_dcache(machine);
+  accumulate_bcache(machine);
 
   // Workers run on dedicated cores: wall time = the slowest worker.
   const double seconds =
@@ -140,7 +131,7 @@ SmpRun run_one_smp(const apps::ServerProfile& profile, std::uint64_t file_size,
   const auto outcome =
       bench::unwrap(scenario::run(spec, machine, instance), "run");
   const auto end = std::chrono::steady_clock::now();
-  accumulate_dcache(machine);
+  accumulate_bcache(machine);
 
   // Simulated wall time = the busiest simulated CPU: co-resident workers
   // timeshare it, and each CPU runs its share in parallel with the others.
@@ -366,17 +357,7 @@ int main(int argc, char** argv) {
     run_grid(profile, 12);
   }
 
-  std::printf("-- simulator decode cache (all runs) --\n");
-  std::printf("%s", metrics::counters_table(
-                        {{"hits", g_dcache_totals.hits},
-                         {"misses", g_dcache_totals.misses},
-                         {"invalidations", g_dcache_totals.invalidations},
-                         {"flushes", g_dcache_totals.flushes}})
-                        .c_str());
-  std::printf("hit rate: %s\n",
-              metrics::percent(100.0 * g_dcache_totals.hit_rate()).c_str());
-
-  std::printf("\n-- simulator block cache (all runs) --\n");
+  std::printf("-- simulator block cache (all runs) --\n");
   std::printf("%s", metrics::counters_table(
                         {{"hits", g_bcache_totals.hits},
                          {"misses", g_bcache_totals.misses},

@@ -60,11 +60,8 @@ struct StepLoopFixture {
   }
 };
 
-// The fetch/decode hot loop with the decode cache force-disabled vs enabled.
-// The pair is the headline simulator-throughput number: items_per_second is
-// host-side instructions retired per second, and the cached run exports its
-// hit/miss/invalidation counters into the bench JSON
-// (--benchmark_format=json) alongside.
+// The reference interpreter's fetch/decode/execute loop: items_per_second
+// is host-side instructions retired per second.
 void BM_CpuStepLoop(benchmark::State& state) {
   StepLoopFixture f;
   for (auto _ : state) {
@@ -74,28 +71,12 @@ void BM_CpuStepLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_CpuStepLoop);
 
-void BM_CpuStepLoopCached(benchmark::State& state) {
-  StepLoopFixture f;
-  cpu::DecodeCache cache;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cpu::step(f.ctx, f.as, &cache));
-  }
-  state.SetItemsProcessed(state.iterations());
-  const cpu::DecodeCacheStats& stats = cache.stats();
-  state.counters["decode_hit_rate"] = stats.hit_rate();
-  state.counters["decode_hits"] = static_cast<double>(stats.hits);
-  state.counters["decode_misses"] = static_cast<double>(stats.misses);
-  state.counters["decode_invalidations"] =
-      static_cast<double>(stats.invalidations);
-}
-BENCHMARK(BM_CpuStepLoopCached);
-
-// Same comparison end-to-end through Machine::run on straight-line compute
-// (no syscalls), so kernel-layer overheads are included. The block-engine
-// variant additionally exports the superblock-cache counters so the bench
-// JSON shows how much of the run was batch-dispatched.
-void machine_straight_line(benchmark::State& state, bool cache_enabled,
-                           bool block_enabled = false) {
+// Straight-line compute (no syscalls) end-to-end through Machine::run, so
+// kernel-layer overheads are included: the reference engine against the
+// block engine. The block-engine variant
+// exports the superblock-cache counters so the bench JSON shows how much of
+// the run was batch-dispatched.
+void machine_straight_line(benchmark::State& state, bool block_enabled) {
   constexpr std::uint64_t kIterations = 50'000;
   isa::Assembler a;
   const auto entry = a.new_label();
@@ -115,25 +96,17 @@ void machine_straight_line(benchmark::State& state, bool cache_enabled,
       bench::unwrap(isa::make_program("straight-line", a, entry), "assemble");
 
   std::uint64_t insns = 0;
-  cpu::DecodeCacheStats totals;
   cpu::BlockCacheStats block_totals;
   for (auto _ : state) {
     kern::Machine machine;
-    machine.decode_cache_enabled = cache_enabled;
     machine.block_exec_enabled = block_enabled;
     const kern::Tid tid = bench::unwrap(machine.load(program), "load");
     const auto stats = machine.run();
     if (!stats.all_exited) bench::die("machine did not quiesce");
     insns += machine.find_task(tid)->insns_retired;
-    totals = machine.decode_cache_totals();
     block_totals = machine.block_cache_totals();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(insns));
-  state.counters["decode_hit_rate"] = totals.hit_rate();
-  state.counters["decode_hits"] = static_cast<double>(totals.hits);
-  state.counters["decode_misses"] = static_cast<double>(totals.misses);
-  state.counters["decode_invalidations"] =
-      static_cast<double>(totals.invalidations);
   if (block_enabled) {
     state.counters["block_hit_rate"] = block_totals.hit_rate();
     state.counters["block_hits"] = static_cast<double>(block_totals.hits);
@@ -145,18 +118,13 @@ void machine_straight_line(benchmark::State& state, bool cache_enabled,
   }
 }
 
-void BM_MachineStraightLineUncached(benchmark::State& state) {
-  machine_straight_line(state, /*cache_enabled=*/false);
+void BM_MachineStraightLineReference(benchmark::State& state) {
+  machine_straight_line(state, /*block_enabled=*/false);
 }
-BENCHMARK(BM_MachineStraightLineUncached);
-
-void BM_MachineStraightLineCached(benchmark::State& state) {
-  machine_straight_line(state, /*cache_enabled=*/true);
-}
-BENCHMARK(BM_MachineStraightLineCached);
+BENCHMARK(BM_MachineStraightLineReference);
 
 void BM_MachineStraightLineBlock(benchmark::State& state) {
-  machine_straight_line(state, /*cache_enabled=*/true, /*block_enabled=*/true);
+  machine_straight_line(state, /*block_enabled=*/true);
 }
 BENCHMARK(BM_MachineStraightLineBlock);
 

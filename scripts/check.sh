@@ -3,9 +3,10 @@
 # except the bench legs, which all run and are then listed if they failed:
 #   1. build with LZP_WERROR=ON, then ctest;
 #   2. sanitizers (--no-sanitize skips): ASan+UBSan over the whole suite,
-#      and TSan over the SMP suites plus a 4-CPU fig5 run. The block engine
-#      is a runtime switch (Machine::block_exec_enabled), so every build runs
-#      both engines: the engine-differential tests compare them in-process;
+#      and TSan over the SMP suites, block_exec_test and a 4-CPU fig5 run.
+#      The block engine is a runtime switch (Machine::block_exec_enabled), so
+#      every build runs both engines: the engine-differential tests compare
+#      them in-process;
 #   3. clang-tidy against scripts/clang_tidy_baseline.txt (skipped when not
 #      installed);
 #   4. examples/analyze --gate, examples/policy gate and the policy
@@ -54,10 +55,14 @@ if [[ "${run_sanitize}" == 1 ]]; then
   echo "== thread-sanitizer build (LZP_SANITIZE=thread, SMP suites) =="
   cmake -B build-tsan -S . -DLZP_SANITIZE=thread -DLZP_WERROR=ON >/dev/null
   cmake --build build-tsan -j"$(nproc)" --target \
-    smp_test shared_as_invalidation_test threaded_server_test fig5_webservers
+    smp_test shared_as_invalidation_test threaded_server_test \
+    block_exec_test fig5_webservers
   ./build-tsan/tests/smp_test
   ./build-tsan/tests/shared_as_invalidation_test
   ./build-tsan/tests/threaded_server_test
+  # The 4-CPU engine-differential cells share one TracingHandler across
+  # host lanes.
+  ./build-tsan/tests/block_exec_test
   # A short 4-CPU webserver differential under TSan: the parallel scheduler
   # end to end, with real host threads racing on the kernel tables. The
   # artifact goes to a scratch path so the real BENCH_smp.json below stays

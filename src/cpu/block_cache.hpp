@@ -1,10 +1,11 @@
 // Superblock cache + block executor for the simulator hot loop.
 //
-// The decode cache (PR 1) removed per-instruction fetch/decode cost; the
-// kernel's step loop still pays per-instruction dispatch, accounting, and
-// policy checks. A DecodedBlock is a straight-line run of pre-decoded
-// instructions that run_block() executes back to back, so Machine::run_slice
-// can hoist all of that to block boundaries (see machine.cpp).
+// The reference interpreter (Machine::step_once) fetches, decodes and
+// accounts for every instruction it retires. A DecodedBlock is a
+// straight-line run of pre-decoded instructions that run_block() executes
+// back to back, so Machine::run_slice can skip the fetch and decode on reuse
+// and hoist dispatch and accounting to block boundaries (see machine.cpp).
+// This is the simulator's only decode cache.
 //
 // Block construction stops at (the terminator is INCLUDED in the block):
 //   * any control transfer (call/jmp/ret/conditional branches),
@@ -18,10 +19,11 @@
 // Keeping a block within one page makes validation a single generation
 // compare: a block is valid iff the asid matches, the start rip matches, and
 // the backing page is still executable at the generation the block was
-// decoded under — precisely the DecodeCache invalidation contract from PR 1,
-// so zpoline's self-modifying rewrite idiom invalidates blocks exactly as it
-// invalidates single decodes (writes to exec pages, exec-bit mprotect flips,
-// unmap, fork/execve asid changes all bump the relevant generation).
+// decoded under. That is the SMC contract of memory/address_space.hpp: writes
+// to exec pages, exec-bit mprotect flips and unmap bump the generation, and
+// fork/execve change the asid, so zpoline's self-modifying rewrite idiom
+// retires every block holding the old bytes. Engines/SmcContractTest in
+// tests/block_exec_test.cpp pins each of these under both engines.
 //
 // Nop runs. A maximal run of at least kMinNopRun one-byte NOPs on one page
 // (the zpoline/lazypoline sled at VA 0) is served from a one-entry memo
@@ -64,6 +66,14 @@ struct BlockCacheStats {
   }
 };
 
+// Kept only for perfbench, which reads Machine::decode_cache_totals(). The
+// per-step decode cache is gone: the block cache is the only decode cache,
+// so both fields always read 0.
+struct DecodeCacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
 // A decoded straight-line run. All encodings live on the page of `start`.
 struct DecodedBlock {
   std::uint64_t start = 0;
@@ -103,8 +113,8 @@ class BlockCache {
   [[nodiscard]] const BlockCacheStats& stats() const noexcept { return stats_; }
 
   // Fires when an entry matched rip but went stale (page vanished, lost
-  // exec, or its generation moved) — the SMC signature, same contract as
-  // DecodeCache::set_invalidation_listener.
+  // exec, or its generation moved) — the SMC signature of a runtime rewrite
+  // landing on cached code. Never fires on plain misses or flushes.
   void set_invalidation_listener(std::function<void(std::uint64_t rip)> fn) {
     invalidation_listener_ = std::move(fn);
   }
@@ -119,7 +129,8 @@ class BlockCache {
     return static_cast<std::size_t>((rip ^ (rip >> 12)) & (kNumEntries - 1));
   }
 
-  // One-entry page-translation TLB (same pattern as DecodeCache).
+  // One-entry page-translation TLB: skips the page-map walk while lookups
+  // stay on one page and the layout generation holds.
   [[nodiscard]] const mem::Page* translate(const mem::AddressSpace& as,
                                            std::uint64_t page_base) noexcept;
 

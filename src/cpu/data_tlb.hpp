@@ -1,7 +1,8 @@
 // Data-side TLB: direct-mapped page-translation arrays for loads and stores.
 //
-// PR 1 gave the *fetch* side a TLB (decode_cache.hpp); every kLoad/kStore/
-// kPush/kPop still walked the std::map page table. This TLB caches
+// The block cache has a one-entry fetch-side TLB (block_cache.hpp); without
+// this one every kLoad/kStore/kPush/kPop would walk the std::map page table.
+// This TLB caches
 // page-base -> mem::Page* translations separately for reads and writes, so
 // the data hot path is one index + three compares + a memcpy.
 //
@@ -20,8 +21,8 @@
 //     partial-write semantics the slow path implements,
 //   * writes require kProtWrite and *no* kProtExec: a write to an executable
 //     page must go through AddressSpace::write so touch_exec_range bumps the
-//     page's code generation and cached decodes/blocks invalidate (the SMC
-//     contract the whole decode-cache scheme rests on).
+//     page's code generation and cached blocks invalidate (the SMC
+//     contract the block cache rests on).
 #pragma once
 
 #include <cstdint>

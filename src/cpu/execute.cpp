@@ -17,19 +17,13 @@ std::size_t fetch_window(const mem::AddressSpace& mem, std::uint64_t addr,
   return mem.fetch_window(addr, {out, isa::kMaxInsnLength}, first_fault);
 }
 
-// Fetch + decode at `rip`, consulting `cache` when given. Writes the decoded
-// instruction to *insn and returns true; on failure returns false with
-// *fetch_faulted / *fault describing a fetch fault (else: invalid opcode).
-bool fetch_decode_cached(const mem::AddressSpace& mem, DecodeCache* cache,
-                         std::uint64_t rip, Instruction* insn,
-                         bool* fetch_faulted, mem::MemFault* fault) {
+// Fetch + decode at `rip`. Writes the decoded instruction to *insn and
+// returns true; on failure returns false with *fetch_faulted / *fault
+// describing a fetch fault (else: invalid opcode).
+bool fetch_and_decode(const mem::AddressSpace& mem, std::uint64_t rip,
+                      Instruction* insn, bool* fetch_faulted,
+                      mem::MemFault* fault) {
   *fetch_faulted = false;
-  if (cache != nullptr) {
-    if (const Instruction* hit = cache->lookup(mem, rip)) {
-      *insn = *hit;
-      return true;
-    }
-  }
   std::uint8_t window[isa::kMaxInsnLength];
   const std::size_t got = fetch_window(mem, rip, window, fault);
   if (got == 0) {
@@ -39,7 +33,6 @@ bool fetch_decode_cached(const mem::AddressSpace& mem, DecodeCache* cache,
   auto decoded = isa::decode({window, got});
   if (!decoded) return false;
   *insn = decoded.value();
-  if (cache != nullptr) cache->insert(mem, rip, *insn);
   return true;
 }
 
@@ -101,12 +94,11 @@ std::optional<mem::MemFault> pop64(CpuContext& ctx, mem::AddressSpace& mem,
 }  // namespace
 
 Result<isa::Instruction> fetch_decode(const CpuContext& ctx,
-                                      const mem::AddressSpace& mem,
-                                      DecodeCache* cache) {
+                                      const mem::AddressSpace& mem) {
   Instruction insn;
   bool fetch_faulted = false;
   mem::MemFault fault;
-  if (!fetch_decode_cached(mem, cache, ctx.rip, &insn, &fetch_faulted, &fault)) {
+  if (!fetch_and_decode(mem, ctx.rip, &insn, &fetch_faulted, &fault)) {
     if (fetch_faulted) {
       return make_error(StatusCode::kOutOfRange, fault.to_string());
     }
@@ -115,13 +107,11 @@ Result<isa::Instruction> fetch_decode(const CpuContext& ctx,
   return insn;
 }
 
-ExecResult step(CpuContext& ctx, mem::AddressSpace& mem, DecodeCache* cache,
-                DataTlb* tlb) {
+ExecResult step(CpuContext& ctx, mem::AddressSpace& mem, DataTlb* tlb) {
   Instruction insn;
   bool fetch_faulted = false;
   mem::MemFault fetch_fault;
-  if (!fetch_decode_cached(mem, cache, ctx.rip, &insn, &fetch_faulted,
-                           &fetch_fault)) {
+  if (!fetch_and_decode(mem, ctx.rip, &insn, &fetch_faulted, &fetch_fault)) {
     ExecResult result;
     result.insn_addr = ctx.rip;
     if (fetch_faulted) {

@@ -10,7 +10,6 @@
 #include "base/status.hpp"
 #include "cpu/context.hpp"
 #include "cpu/data_tlb.hpp"
-#include "cpu/decode_cache.hpp"
 #include "isa/decode.hpp"
 #include "memory/address_space.hpp"
 
@@ -38,10 +37,8 @@ struct ExecResult {
 };
 
 // Fetch + decode at ctx.rip without executing (used by tracers/pintool).
-// With a cache the decode is served from / recorded into it.
 [[nodiscard]] Result<isa::Instruction> fetch_decode(const CpuContext& ctx,
-                                                    const mem::AddressSpace& mem,
-                                                    DecodeCache* cache = nullptr);
+                                                    const mem::AddressSpace& mem);
 
 // Executes exactly one instruction. On kContinue the context is fully
 // updated; on kSyscall the context holds the post-syscall-instruction rip
@@ -49,14 +46,13 @@ struct ExecResult {
 // subtracts the 2-byte encoding to find the site); on faults the context is
 // unchanged except that no partial memory writes occur.
 //
-// `cache` (optional) is the task's decoded-instruction cache; hits skip the
-// fetch window and re-decode entirely. Invalidation against self-modifying
-// code is generation-based — see decode_cache.hpp. `tlb` (optional) is the
+// Every call fetches and decodes afresh, so the reference interpreter can
+// never run stale bytes after self-modifying code. `tlb` (optional) is the
 // task's data-side TLB; loads/stores/push/pop that it cannot serve fall back
 // to the checked AddressSpace accessors, so faults are identical with and
 // without it.
 ExecResult step(CpuContext& ctx, mem::AddressSpace& mem,
-                DecodeCache* cache = nullptr, DataTlb* tlb = nullptr);
+                DataTlb* tlb = nullptr);
 
 // Executes one *already decoded* instruction whose first byte sits at
 // ctx.rip. This is step() minus fetch/decode: the superblock engine

@@ -81,11 +81,13 @@ std::uint64_t TracingHandler::handle(InterposeContext& ctx) {
   }
 
   record.result = ctx.pass_through();
+  std::lock_guard<std::mutex> lock(mu_);
   trace_.push_back(record);
   return record.result;
 }
 
 std::vector<std::uint64_t> TracingHandler::traced_numbers() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::uint64_t> numbers;
   numbers.reserve(trace_.size());
   for (const TraceRecord& record : trace_) numbers.push_back(record.nr);

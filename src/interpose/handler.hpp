@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,9 @@ class InterposeContext {
       raw_syscall_;
 };
 
+// Under run_smp one handler instance can be called from several host
+// threads at once (scenario::build hands one handler to every worker), so a
+// handler shared by a multi-CPU run must guard whatever it mutates.
 class SyscallHandler {
  public:
   virtual ~SyscallHandler() = default;
@@ -114,6 +118,8 @@ struct TraceRecord {
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
+// Safe to share under run_smp: appends go through a mutex. trace() hands out
+// the log itself, so read it once the run is over.
 class TracingHandler final : public SyscallHandler {
  public:
   std::uint64_t handle(InterposeContext& ctx) override;
@@ -123,9 +129,13 @@ class TracingHandler final : public SyscallHandler {
     return trace_;
   }
   [[nodiscard]] std::vector<std::uint64_t> traced_numbers() const;
-  void clear() { trace_.clear(); }
+  void clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    trace_.clear();
+  }
 
  private:
+  mutable std::mutex mu_;
   std::vector<TraceRecord> trace_;
 };
 

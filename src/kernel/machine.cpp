@@ -108,7 +108,7 @@ Result<Tid> Machine::load(const isa::Program& program) {
 
   Task& ref = *task;
   tasks_.emplace(ref.tid, std::move(task));
-  attach_dcache_probe(ref);
+  attach_bcache_probe(ref);
   if (auto* sink = trace_sink()) {
     sink->on_task_event(ref, TraceSink::TaskEvent::kStart, program.entry);
   }
@@ -287,11 +287,12 @@ bool Machine::deliverable_signal_pending(const Task& task) noexcept {
 bool Machine::can_batch_execute(const Task& task) const noexcept {
   // Every condition here names a client that needs per-instruction
   // precision; the per-step path is the reference semantics and anything
-  // that observes or perturbs individual steps gets it. Slice observers and
-  // the replay schedule hook are not among them: observers are notified
-  // after run_slice returns, the hook only sets slice budgets, and block
-  // runs end slices on the same step as the per-step path.
-  return block_exec_enabled && insn_observers_.empty() && !task.ptraced &&
+  // that observes or perturbs individual steps gets it. Slice observers, the
+  // replay schedule hook and ptrace are not among them: observers are
+  // notified after run_slice returns, the hook only sets slice budgets, block
+  // runs end slices on the same step as the per-step path, and a ptrace stop
+  // happens at a SYSCALL, which always ends a block.
+  return block_exec_enabled && insn_observers_.empty() &&
          !is_host_addr(task.ctx.rip) && !deliverable_signal_pending(task);
 }
 
@@ -380,9 +381,7 @@ bool Machine::step_once(Task& task, std::uint64_t& steps) {
     return task.runnable();
   }
 
-  const cpu::ExecResult result =
-      cpu::step(task.ctx, *task.mem,
-                decode_cache_enabled ? &task.dcache : nullptr, &task.dtlb);
+  const cpu::ExecResult result = cpu::step(task.ctx, *task.mem, &task.dtlb);
   if (result.kind != cpu::ExecKind::kContinue &&
       result.kind != cpu::ExecKind::kSyscall) {
     dispatch_exit(task, result.kind, result.insn_addr, result.fault,
@@ -717,20 +716,6 @@ void Machine::flush_profile_mirror() noexcept {
   for (auto& task : nursery_) flush_profile(*task);
 }
 
-cpu::DecodeCacheStats Machine::decode_cache_totals() const {
-  cpu::DecodeCacheStats totals;
-  auto add = [&totals](const Task& task) {
-    const cpu::DecodeCacheStats& stats = task.dcache.stats();
-    totals.hits += stats.hits;
-    totals.misses += stats.misses;
-    totals.invalidations += stats.invalidations;
-    totals.flushes += stats.flushes;
-  };
-  for (const auto& [tid, task] : tasks_) add(*task);
-  for (const auto& task : nursery_) add(*task);
-  return totals;
-}
-
 cpu::BlockCacheStats Machine::block_cache_totals() const {
   cpu::BlockCacheStats totals;
   auto add = [&totals](const Task& task) {
@@ -835,18 +820,15 @@ const isa::Program* Machine::find_program(const std::string& name) const {
 }
 
 void Machine::adopt_task(std::unique_ptr<Task> task) {
-  attach_dcache_probe(*task);
+  attach_bcache_probe(*task);
   std::lock_guard<std::mutex> lock(nursery_mu_);
   nursery_.push_back(std::move(task));
 }
 
-void Machine::attach_dcache_probe(Task& task) {
+void Machine::attach_bcache_probe(Task& task) {
   // The Task is owned by a unique_ptr in tasks_/nursery_, so its address is
   // stable for the listener's whole lifetime.
   Task* t = &task;
-  task.dcache.set_invalidation_listener([this, t](std::uint64_t rip) {
-    if (auto* sink = trace_sink()) sink->on_decode_invalidation(*t, rip);
-  });
   task.bcache.set_invalidation_listener([this, t](std::uint64_t rip) {
     if (auto* sink = trace_sink()) sink->on_block_invalidation(*t, rip);
   });

@@ -102,12 +102,11 @@ class Machine {
   // can occupy virtual address 0 (the paper's deployments set it via sysctl).
   std::uint64_t mmap_min_addr = 0x10000;
 
-  // Decoded-instruction cache for the step() hot loop (see
-  // cpu/decode_cache.hpp). On by default; benches flip it off to measure
-  // the uncached fetch/decode path.
-  bool decode_cache_enabled = true;
-  // Decode-cache counters summed over every task (including exited ones).
-  [[nodiscard]] cpu::DecodeCacheStats decode_cache_totals() const;
+  // Kept only for perfbench, which reads it: there is no per-step decode
+  // cache any more, so this always returns zeros.
+  [[nodiscard]] cpu::DecodeCacheStats decode_cache_totals() const {
+    return {};
+  }
 
   // Superblock execution engine (cpu/block_cache.hpp): run_slice executes
   // cached straight-line decodes as batches — accounting hoisted to block
@@ -490,9 +489,8 @@ class Machine {
   // Cached sink->step_sample_period() (>= 1), read per retired instruction
   // under the step engine.
   std::uint64_t profile_step_period_ = 1;
-  // Installs the decode- and block-cache invalidation probes on a freshly
-  // created task.
-  void attach_dcache_probe(Task& task);
+  // Installs the block-cache invalidation probe on a freshly created task.
+  void attach_bcache_probe(Task& task);
   // Emits a kSwitch trace event when the scheduler picks a different task.
   void note_task_switch(const Task& task);
   Xoshiro256 rng_{kDefaultRngSeed};

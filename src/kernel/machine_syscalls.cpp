@@ -750,10 +750,8 @@ std::uint64_t Machine::do_execve(Task& task, std::uint64_t path_ptr) {
   if (program == nullptr) return errno_result(kENOENT);
   charge(task, costs_.execve_base);
 
-  // Fresh image: new address space, reset registers and xstate. The decode
-  // cache is flushed explicitly; its asid check would catch the swap anyway,
-  // but an eager flush keeps no stale entries alive across the exec.
-  task.dcache.flush();
+  // Fresh image: new address space, reset registers and xstate. The new
+  // space's asid retires every block cache and D-TLB entry of the old one.
   task.mem = std::make_shared<mem::AddressSpace>();
   (void)task.mem->map(program->base, program->image.size(),
                       mem::kProtRead | mem::kProtExec, /*fixed=*/true);

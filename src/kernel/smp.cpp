@@ -439,7 +439,6 @@ SmpStats Machine::run_smp(const SmpConfig& config,
         }
       }
       if (shared_cross_cpu) {
-        task->dcache.flush();
         task->bcache.flush();
         task->dtlb.flush();
         ++out.shootdowns;

@@ -17,7 +17,6 @@
 #include "cpu/block_cache.hpp"
 #include "cpu/context.hpp"
 #include "cpu/data_tlb.hpp"
-#include "cpu/decode_cache.hpp"
 #include "kernel/profile_sink.hpp"
 #include "kernel/signals.hpp"
 #include "memory/address_space.hpp"
@@ -95,17 +94,13 @@ struct Task {
   std::shared_ptr<mem::AddressSpace> mem;
   cpu::CpuContext ctx;
 
-  // Per-task decoded-instruction cache for the step() hot loop. Per-task —
-  // not per-address-space — so CLONE_VM siblings each keep their own cache
-  // over the shared space (invalidated through the shared page generations
-  // when a sibling rewrites code), fork children start cold against their
-  // deep-copied space, and execve's fresh space flushes via its new asid.
-  cpu::DecodeCache dcache;
-
   // Superblock cache for the batched execution fast path, and the data-side
-  // TLB for its loads/stores. Per-task for the same reasons as dcache: the
-  // block cache invalidates through shared page generations, and the D-TLB
-  // through layout generations + asid (see cpu/block_cache.hpp,
+  // TLB for its loads/stores. Per-task — not per-address-space — so CLONE_VM
+  // siblings each keep their own caches over the shared space: the block
+  // cache invalidates through the shared page generations when a sibling
+  // rewrites code, and the D-TLB through layout generations + asid. Fork
+  // children start cold against their deep-copied space, and execve's fresh
+  // space flushes both through its new asid (see cpu/block_cache.hpp,
   // cpu/data_tlb.hpp).
   cpu::BlockCache bcache;
   cpu::DataTlb dtlb;

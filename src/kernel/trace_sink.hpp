@@ -3,7 +3,7 @@
 // A TraceSink is the single low-level observability hook the Machine and the
 // interposer runtimes report into: syscall interpositions tagged with the
 // mechanism that handled them, SUD selector flips, signal deliveries, zpoline
-// site rewrites, seccomp filter decisions, decode-cache invalidations, and
+// site rewrites, seccomp filter decisions, block-cache invalidations, and
 // task lifecycle events. The default implementation of every probe is a
 // no-op, so sinks override only what they consume; src/trace's Tracer is the
 // full-fat implementation (flight recorder + metrics registry).
@@ -119,11 +119,9 @@ class TraceSink {
   // The seccomp filter chain produced its decisive action for a syscall.
   virtual void on_seccomp_decision(const Task&, std::uint64_t /*nr*/,
                                    std::uint32_t /*action*/) {}
-  // The decode cache dropped an entry whose page generation went stale (the
-  // SMC signature of a runtime rewrite landing on cached code).
-  virtual void on_decode_invalidation(const Task&, std::uint64_t /*rip*/) {}
-  // Same event for the superblock cache (cpu/block_cache.hpp): a cached
-  // straight-line decode was dropped because its page generation went stale.
+  // The superblock cache (cpu/block_cache.hpp) dropped a cached
+  // straight-line decode because its page generation went stale (the SMC
+  // signature of a runtime rewrite landing on cached code).
   virtual void on_block_invalidation(const Task&, std::uint64_t /*rip*/) {}
   // An interposition mechanism finished arming itself on a task.
   virtual void on_mechanism_install(const Task&, InterposeMechanism) {}

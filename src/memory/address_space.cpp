@@ -35,7 +35,7 @@ std::shared_ptr<AddressSpace> AddressSpace::clone() const {
   copy->pages_ = pages_;  // deep copy: Page holds its bytes by value
   // The copy keeps the generation counters (so per-page gens stay monotone
   // within the lineage) but gets its own asid from the default constructor:
-  // decode caches keyed by asid treat the child as a brand-new code space.
+  // block caches keyed by asid treat the child as a brand-new code space.
   copy->code_gen_.store(code_gen(), std::memory_order_relaxed);
   copy->layout_gen_.store(layout_gen(), std::memory_order_relaxed);
   return copy;
@@ -163,7 +163,7 @@ Status AddressSpace::protect(std::uint64_t addr, std::uint64_t length,
     Page& entry = it->second;
     // Any protection change that involves executability — in either
     // direction — retires the page's code generation. This is what makes
-    // the rewrite idiom safe for decode caches: flip RX->RW (bump), patch
+    // the rewrite idiom safe for block caches: flip RX->RW (bump), patch
     // the bytes while the page is not executable, flip RW->RX (bump again).
     if (((entry.prot | prot) & kProtExec) != 0 && entry.prot != prot) {
       touch_page_gen(entry);

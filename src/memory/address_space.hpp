@@ -150,9 +150,9 @@ class AddressSpace {
   [[nodiscard]] const AddressSpaceStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t mapped_page_count() const noexcept { return pages_.size(); }
 
-  // --- decode-cache / D-TLB support ----------------------------------------
+  // --- block-cache / D-TLB support -----------------------------------------
   //
-  // Raw page view for the CPU's decode cache, fetch TLB, and data TLB: the
+  // Raw page view for the CPU's block cache, fetch TLB, and data TLB: the
   // page at `page_base` (which must be page-aligned), or nullptr if unmapped.
   // The returned pointer stays valid until layout_gen() changes; callers must
   // re-check prot and gen through it on every use.
@@ -167,7 +167,7 @@ class AddressSpace {
   // decode of executable bytes anywhere in this address space. Per-page
   // `Page::gen` values are allocated from it. Atomic so a CLONE_VM sibling
   // on another simulated CPU observes the bump and can shoot down its own
-  // decode/block/data-TLB state; relaxed ordering suffices because readers
+  // block-cache and data-TLB state; relaxed ordering suffices because readers
   // re-validate through the live Page before trusting any cached bytes.
   [[nodiscard]] std::uint64_t code_gen() const noexcept {
     return code_gen_.load(std::memory_order_relaxed);
@@ -178,7 +178,7 @@ class AddressSpace {
     return layout_gen_.load(std::memory_order_relaxed);
   }
   // Process-global unique id of this address space instance. clone() and a
-  // fresh construction both produce a new id, so a decode cache keyed by it
+  // fresh construction both produce a new id, so a block cache keyed by it
   // can never leak entries across fork or execve.
   [[nodiscard]] std::uint64_t asid() const noexcept { return asid_; }
 

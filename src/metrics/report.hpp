@@ -40,7 +40,7 @@ class Series {
 [[nodiscard]] std::string percent(double value, int decimals = 2);
 
 // A two-column counter table ("counter | value") for cache/stat reports —
-// the shape the benches use for decode-cache hit/miss/invalidation counts.
+// the shape the benches use for block-cache hit/miss/invalidation counts.
 [[nodiscard]] std::string counters_table(
     const std::vector<std::pair<std::string, std::uint64_t>>& counters);
 

@@ -22,7 +22,6 @@ enum class EventType : std::uint8_t {
   kSignal,              // a = signo, b = code, c = syscall nr (SIGSYS)
   kSiteRewrite,         // a = rewritten site address
   kSeccompDecision,     // a = nr, b = decisive action word
-  kDecodeInvalidation,  // a = rip whose cached decode went stale
   kBlockInvalidation,   // a = rip whose cached superblock went stale
   kMechanismInstall,    // mech = the mechanism that finished arming
   kCrosscheck,          // a = site, b = static verdict, c = outcome
@@ -42,7 +41,6 @@ enum class EventType : std::uint8_t {
     case EventType::kSignal: return "signal";
     case EventType::kSiteRewrite: return "site-rewrite";
     case EventType::kSeccompDecision: return "seccomp-decision";
-    case EventType::kDecodeInvalidation: return "decode-invalidation";
     case EventType::kBlockInvalidation: return "block-invalidation";
     case EventType::kMechanismInstall: return "mechanism-install";
     case EventType::kCrosscheck: return "crosscheck";

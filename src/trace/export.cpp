@@ -47,7 +47,6 @@ std::string instant_args(const Event& event) {
       args.add("signo", event.a).add("code", event.b).add("syscall_nr", event.c);
       break;
     case EventType::kSiteRewrite:
-    case EventType::kDecodeInvalidation:
     case EventType::kBlockInvalidation:
       args.add("addr", hex_u64(event.a));
       break;

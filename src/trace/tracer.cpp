@@ -174,16 +174,6 @@ void Tracer::on_seccomp_decision(const kern::Task& task, std::uint64_t nr,
   push_event(task, event);
 }
 
-void Tracer::on_decode_invalidation(const kern::Task& task, std::uint64_t rip) {
-  if (!enabled()) return;
-  auto lock = maybe_lock();
-  metrics_.bump("dcache.invalidations");
-  Event event;
-  event.type = EventType::kDecodeInvalidation;
-  event.a = rip;
-  push_event(task, event);
-}
-
 void Tracer::on_block_invalidation(const kern::Task& task, std::uint64_t rip) {
   if (!enabled()) return;
   auto lock = maybe_lock();

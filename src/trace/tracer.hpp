@@ -68,7 +68,6 @@ class Tracer final : public kern::TraceSink {
                           const kern::SigInfo& info) override;
   void on_seccomp_decision(const kern::Task& task, std::uint64_t nr,
                            std::uint32_t action) override;
-  void on_decode_invalidation(const kern::Task& task, std::uint64_t rip) override;
   void on_block_invalidation(const kern::Task& task, std::uint64_t rip) override;
   void on_mechanism_install(const kern::Task& task,
                             kern::InterposeMechanism mech) override;

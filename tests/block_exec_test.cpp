@@ -13,6 +13,10 @@
 //     lands on the reference path's rip, steps, retirements and cycles,
 //   * SMC mid-run: a privileged rewrite between slices (also one inside a
 //     live nop run) makes the new bytes execute,
+//   * the SMC contract under each engine: a lazypoline site rewrite, a guest
+//     store to an exec page, the mprotect flip/patch/flip-back idiom, a
+//     CLONE_VM sibling's store, a change to a page-crossing instruction's
+//     tail page and execve all make the next execution run the new code,
 //   * SMP: a 4-CPU run whose site rewrites shoot down other CPUs' blocks,
 //   * record/replay neutrality: traces recorded with the engine on and off
 //     are identical, and an external-kill recording replays identically on
@@ -20,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
 #include <span>
@@ -29,6 +34,7 @@
 
 #include "apps/minilibc.hpp"
 #include "apps/webserver.hpp"
+#include "core/lazypoline.hpp"
 #include "base/rng.hpp"
 #include "cpu/block_cache.hpp"
 #include "isa/assemble.hpp"
@@ -365,12 +371,10 @@ EngineOutcome run_engine(const scenario::Scenario& spec, bool block_on) {
   trace::Tracer tracer;
   tracer.set_concurrent(spec.cpus > 1);
   tracer.attach(machine);
-  // The TracingHandler's log is unlocked, so only a 1-CPU run (one host
-  // thread) records through it; SMP workers share a stateless handler.
+  // One handler serves every worker; under run_smp its log is appended to
+  // from several host lanes.
   auto tracing = std::make_shared<interpose::TracingHandler>();
-  std::shared_ptr<interpose::SyscallHandler> handler = tracing;
-  if (spec.cpus > 1) handler = std::make_shared<interpose::DummyHandler>();
-  auto instance = scenario::build(spec, machine, handler);
+  auto instance = scenario::build(spec, machine, tracing);
   EXPECT_TRUE(instance.is_ok()) << instance.status().to_string();
   EngineOutcome out;
   if (!instance.is_ok()) return out;
@@ -390,14 +394,13 @@ EngineOutcome run_engine(const scenario::Scenario& spec, bool block_on) {
     out.served.push_back(machine.net().completed_requests(listener));
   }
   out.handler_calls = tracing->trace().size();
-  // Everything in the metrics tables except the execution-cache counters
-  // (which exist precisely to differ between the engines) must match.
+  // Everything in the metrics tables except the block-cache counters (which
+  // exist precisely to differ between the engines) must match.
   // ring.events aggregates the invalidation events too, so it goes with them.
   std::istringstream in(trace::render_summary(tracer));
   std::string line;
   while (std::getline(in, line)) {
     if (line.find("bcache.") != std::string::npos ||
-        line.find("dcache.") != std::string::npos ||
         line.find("ring.events") != std::string::npos) {
       continue;
     }
@@ -405,9 +408,8 @@ EngineOutcome run_engine(const scenario::Scenario& spec, bool block_on) {
   }
 
   const cpu::BlockCacheStats bcache = machine.block_cache_totals();
-  if (!block_on || spec.mechanism.kind == scenario::Mechanism::Kind::kPtrace) {
-    // The reference engine never looks a block up, and neither does the
-    // block engine for a ptraced task (the per-step fallback).
+  if (!block_on) {
+    // The reference engine never looks a block up.
     EXPECT_EQ(bcache.hits + bcache.misses, 0u) << where;
   } else {
     EXPECT_GT(bcache.hits, 0u) << where;
@@ -852,6 +854,263 @@ TEST(BlockExecSmcTest, PatchInsideLiveNopRunExecutesNewBytes) {
   EXPECT_EQ(block.insns, ref.insns);
   EXPECT_EQ(block.steps, ref.steps);
 }
+
+// --- the SMC contract under both engines -------------------------------------
+//
+// A rewrite of code that has already run (and so sits in whatever the engine
+// caches) must take effect the next time it runs, however it is written.
+// Each case runs under the reference engine and the block engine. The guest
+// loop loads a 64-bit marker into rdx from a `mov rdx, imm64` site. Some
+// actor changes byte 5 of that immediate, and the guest exits 0 only if its
+// last pass read the changed marker (1 if it read the original).
+
+constexpr std::uint64_t kMarkerOld = 0x1111'2222'3333'4444ULL;
+constexpr std::uint64_t kMarkerNew = 0x1111'7722'3333'4444ULL;
+constexpr std::uint8_t kMarkerNewByte = 0x77;  // byte 5 of kMarkerNew
+
+struct MarkerLoop {
+  std::uint64_t iterations = 1;
+  std::uint64_t marker = kMarkerOld;
+  // Page offset the site starts at (jumped over padding); 0: no padding.
+  std::uint64_t site_offset = 0;
+  std::function<void(Assembler&)> prologue;
+  // Emitted after the site on every pass. `patch_addr` is the marker's
+  // byte 5; `loop` is the site.
+  std::function<void(Assembler&, Assembler::Label loop,
+                     std::uint64_t patch_addr)>
+      after_site;
+  // Execve this program after the loop instead of checking the marker.
+  std::string exec_next;
+};
+
+isa::Program make_marker_loop(const std::string& name, const MarkerLoop& spec,
+                              std::uint64_t* patch_addr = nullptr) {
+  Assembler a;
+  const auto entry = a.new_label();
+  const auto loop = a.new_label();
+  const auto fresh = a.new_label();
+  a.bind(entry);
+  if (spec.prologue) spec.prologue(a);
+  a.mov(Gpr::rbx, spec.iterations);
+  a.jmp(loop);
+  if (spec.site_offset != 0) {
+    EXPECT_LE(a.offset(), spec.site_offset);
+    a.nops(spec.site_offset - a.offset());
+  }
+  a.bind(loop);
+  a.mov(Gpr::rdx, spec.marker);
+  const std::uint64_t imm = kCodeBase + a.offset() - 8;
+  if (patch_addr != nullptr) *patch_addr = imm + 5;
+  if (spec.after_site) spec.after_site(a, loop, imm + 5);
+  a.sub(Gpr::rbx, 1);
+  a.cmp(Gpr::rbx, 0);
+  a.jnz(loop);
+  if (!spec.exec_next.empty()) {
+    a.mov(Gpr::rdi, apps::embed_string(a, spec.exec_next));
+    apps::emit_syscall(a, kern::kSysExecve);
+  }
+  a.mov(Gpr::rcx, kMarkerNew);
+  a.cmp(Gpr::rdx, Gpr::rcx);
+  a.jz(fresh);
+  apps::emit_exit(a, 1);
+  a.bind(fresh);
+  apps::emit_exit(a, 0);
+  isa::Program program = isa::make_program(name, a, entry, kCodeBase).value();
+  std::uint64_t site_imm = 0;
+  std::memcpy(&site_imm, program.image.data() + (imm - kCodeBase), 8);
+  EXPECT_EQ(site_imm, spec.marker);
+  return program;
+}
+
+// Makes the first page of the guest's text writable, so it can patch its
+// own code.
+void make_text_rwx(Assembler& a) {
+  a.mov(Gpr::rdi, kCodeBase);
+  a.mov(Gpr::rsi, mem::kPageSize);
+  a.mov(Gpr::rdx, mem::kProtRead | mem::kProtWrite | mem::kProtExec);
+  a.mov(Gpr::rax, kern::kSysMprotect);
+  a.syscall_();
+}
+
+struct SmcRun {
+  int exit_code = -1;
+  cpu::BlockCacheStats bcache;
+};
+
+// Runs `program` to the end. With `patch`, it first runs until the loop is
+// warm, and applies `patch` to the task's address space at that slice
+// boundary. A stale cache that spins forever runs out of budget instead.
+SmcRun run_smc(bool block_on, const isa::Program& program,
+               const std::function<void(mem::AddressSpace&)>& patch = {},
+               const isa::Program* exec_target = nullptr) {
+  kern::Machine machine;
+  machine.block_exec_enabled = block_on;
+  if (exec_target != nullptr) machine.register_program(*exec_target);
+  const kern::Tid tid = machine.load(program).value();
+  kern::Task& task = *machine.find_task(tid);
+  if (patch) {
+    (void)machine.run(2'000);
+    EXPECT_TRUE(task.runnable());
+    patch(*task.mem);
+  }
+  const auto stats = machine.run(1'000'000);
+  EXPECT_TRUE(stats.all_exited) << machine.last_fatal();
+  SmcRun out;
+  out.exit_code = task.exit_code;
+  out.bcache = machine.block_cache_totals();
+  // Only the block engine looks blocks up.
+  EXPECT_EQ(out.bcache.hits + out.bcache.misses > 0, block_on);
+  return out;
+}
+
+class SmcContractTest : public ::testing::TestWithParam<bool> {
+ protected:
+  bool block_on() const { return GetParam(); }
+};
+
+TEST_P(SmcContractTest, LazypolineRewriteTakesEffectOnWarmCode) {
+  const std::uint64_t iterations = 50;
+  const scenario::Scenario spec{scenario::Loop{iterations, kern::kSysGetpid},
+                                scenario::Mechanism::Kind::kLazypoline};
+  kern::Machine machine;
+  machine.block_exec_enabled = block_on();
+  auto handler = std::make_shared<interpose::TracingHandler>();
+  auto instance = scenario::build(spec, machine, handler);
+  ASSERT_TRUE(instance.is_ok()) << instance.status().to_string();
+  const kern::Tid tid = instance.value().workers.front();
+  const auto& runtime = instance.value().runtimes.front();
+  const auto stats = machine.run();
+  ASSERT_TRUE(stats.all_exited) << machine.last_fatal();
+
+  // Each site has run as SYSCALL before its rewrite. Exactly one SIGSYS per
+  // site shows that the next execution of the rewritten bytes took the CALL
+  // RAX fast path instead of faulting again.
+  EXPECT_EQ(runtime->stats().sites_rewritten, 2u);
+  EXPECT_EQ(machine.find_task(tid)->sud_sigsys_count, 2u);
+  EXPECT_EQ(runtime->stats().entry_invocations, iterations + 1);
+  EXPECT_EQ(handler->trace().size(), iterations + 1);
+  if (block_on()) {
+    EXPECT_GE(machine.block_cache_totals().invalidations, 1u);
+  }
+}
+
+TEST_P(SmcContractTest, GuestWriteToExecPageTakesEffect) {
+  MarkerLoop spec;
+  spec.iterations = 3;
+  spec.prologue = make_text_rwx;
+  spec.after_site = [](Assembler& a, Assembler::Label, std::uint64_t patch) {
+    a.mov(Gpr::r12, patch);
+    a.mov(Gpr::rcx, kMarkerNewByte);
+    a.store8(Gpr::r12, 0, Gpr::rcx);
+  };
+  const SmcRun run = run_smc(block_on(), make_marker_loop("smc-store", spec));
+  EXPECT_EQ(run.exit_code, 0);
+  if (block_on()) {
+    EXPECT_GE(run.bcache.invalidations, 1u);
+  }
+}
+
+TEST_P(SmcContractTest, ProtectFlipPatchFlipBackTakesEffect) {
+  // The zpoline/lazypoline idiom: the patching write lands while the page is
+  // not executable, so only the mprotect calls can retire the old code.
+  MarkerLoop spec;
+  spec.iterations = 5'000;
+  std::uint64_t patch = 0;
+  const isa::Program program = make_marker_loop("smc-flip", spec, &patch);
+  const std::uint64_t page = mem::page_floor(patch);
+  const SmcRun run =
+      run_smc(block_on(), program, [&](mem::AddressSpace& as) {
+        ASSERT_TRUE(as.protect(page, mem::kPageSize,
+                               mem::kProtRead | mem::kProtWrite)
+                        .is_ok());
+        ASSERT_TRUE(as.write_force(patch, {&kMarkerNewByte, 1}).is_ok());
+        ASSERT_TRUE(
+            as.protect(page, mem::kPageSize, mem::kProtRead | mem::kProtExec)
+                .is_ok());
+      });
+  EXPECT_EQ(run.exit_code, 0);
+  if (block_on()) {
+    EXPECT_GE(run.bcache.invalidations, 1u);
+  }
+}
+
+TEST_P(SmcContractTest, CloneVmSiblingWriteTakesEffect) {
+  // The parent runs the site once, then spawns a CLONE_VM sibling and spins
+  // on the site until it reads the marker the sibling writes through the
+  // shared address space.
+  MarkerLoop spec;
+  spec.prologue = [](Assembler& a) {
+    make_text_rwx(a);
+    a.mov(Gpr::r13, 0);  // no sibling yet
+  };
+  spec.after_site = [](Assembler& a, Assembler::Label loop,
+                       std::uint64_t patch) {
+    const auto spin = a.new_label();
+    a.cmp(Gpr::r13, 0);
+    a.jnz(spin);
+    a.mov(Gpr::r13, 1);
+    a.mov(Gpr::rdi, kern::kCloneVm | kern::kCloneThread);
+    a.mov(Gpr::rsi, apps::kDataBase + 0x8000);  // the sibling's stack
+    a.mov(Gpr::rax, kern::kSysClone);
+    a.syscall_();
+    a.cmp(Gpr::rax, 0);
+    a.jnz(spin);
+    a.mov(Gpr::r12, patch);
+    a.mov(Gpr::rcx, kMarkerNewByte);
+    a.store8(Gpr::r12, 0, Gpr::rcx);
+    a.mov(Gpr::rdi, 0);
+    a.mov(Gpr::rax, kern::kSysExit);
+    a.syscall_();
+    a.bind(spin);
+    a.mov(Gpr::rcx, kMarkerNew);
+    a.cmp(Gpr::rdx, Gpr::rcx);
+    a.jnz(loop);
+  };
+  const SmcRun run = run_smc(block_on(), make_marker_loop("smc-clone", spec));
+  EXPECT_EQ(run.exit_code, 0);
+  if (block_on()) {
+    EXPECT_GE(run.bcache.invalidations, 1u);
+  }
+}
+
+TEST_P(SmcContractTest, PageCrossingTailPageChangeTakesEffect) {
+  // The 10-byte site straddles a page boundary with the marker's byte 5 on
+  // the second page: a write that touches only the tail page must still
+  // change what the instruction does.
+  MarkerLoop spec;
+  spec.iterations = 5'000;
+  spec.site_offset = mem::kPageSize - 4;
+  std::uint64_t patch = 0;
+  const isa::Program program = make_marker_loop("smc-crossing", spec, &patch);
+  ASSERT_EQ(mem::page_floor(patch), program.base + mem::kPageSize);
+  const SmcRun run =
+      run_smc(block_on(), program, [&](mem::AddressSpace& as) {
+        ASSERT_TRUE(as.write_force(patch, {&kMarkerNewByte, 1}).is_ok());
+      });
+  EXPECT_EQ(run.exit_code, 0);
+}
+
+TEST_P(SmcContractTest, ExecveRunsTheFreshImage) {
+  // Both images put the site at the same address; only the marker differs.
+  // After execve, nothing cached against the old address space may run.
+  MarkerLoop target;
+  target.marker = kMarkerNew;
+  const isa::Program fresh = make_marker_loop("smc-fresh-image", target);
+  MarkerLoop spec;
+  spec.iterations = 3;
+  spec.exec_next = fresh.name;
+  const SmcRun run = run_smc(block_on(), make_marker_loop("smc-exec", spec),
+                             {}, &fresh);
+  EXPECT_EQ(run.exit_code, 0);
+  if (block_on()) {
+    EXPECT_GE(run.bcache.flushes, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, SmcContractTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "block" : "reference";
+                         });
 
 // --- SMP: shootdown during block execution -----------------------------------
 

@@ -1,7 +1,7 @@
 // Cross-engine invalidation on a *shared* address space (the CLONE_VM case).
 //
-// Every task carries its own DecodeCache/BlockCache/DataTlb, but CLONE_VM
-// siblings share one mem::AddressSpace. These tests audit the two ways a
+// Every task carries its own BlockCache/DataTlb, but CLONE_VM siblings
+// share one mem::AddressSpace. These tests audit the two ways a
 // sibling's private caches could go stale behind a mutation performed by the
 // other task (or the kernel) through the shared space:
 //
